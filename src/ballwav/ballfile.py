@@ -127,6 +127,10 @@ def from_bytes(buf):
         raise BallFileError("unsupported version %d" % version)
     if flags & ~1:
         raise BallFileError("unknown flag bits 0x%x" % flags)
+    if L == 0 or P == 0:
+        raise BallFileError("band-limits must be >= 1, got L=%d P=%d" % (L, P))
+    if not (np.isfinite(tau) and tau > 0):
+        raise BallFileError("tau must be positive and finite, got %r" % tau)
     cplx = bool(flags & 1)
     bf = BallFile(kind=kind, L=L, P=P, tau=tau, complex_payload=cplx)
     if kind == KIND_SAMPLES:
@@ -225,11 +229,7 @@ def unpack_wavelets(bf):
         raise BallFileError("scaling grid does not match band-limits")
     wavelets = {}
     for (j, jp), arr in bf.wavelets.items():
-        if bf.multires:
-            Lj, Pjp = tiling.kernel_bandlimits(params, j, jp)
-            sub = flaglet._cached_scheme(Lj, Pjp, bf.tau)
-        else:
-            sub = full
+        sub = flaglet.scale_scheme(full, params, j, jp, bf.multires)
         if arr.shape != sub.grid_shape:
             raise BallFileError("scale (%d,%d) grid mismatch" % (j, jp))
         wavelets[(j, jp)] = flag.BallSignal(scheme=sub, values=arr)

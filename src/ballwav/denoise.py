@@ -9,11 +9,11 @@ wavelet samples removes most noise while keeping sparse features.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import flag, flaglet, laguerre, sht, tiling
+from . import flag, flaglet, laguerre, sht
 
 
 @dataclass(frozen=True)
@@ -76,11 +76,7 @@ def predict_sigma(kernels, model, scheme, multires=True):
     ramp2 = (np.arange(model.P) / model.P) ** 2
     profiles = {}
     for j, jp in prm.scales:
-        if multires:
-            _, Pjp = tiling.kernel_bandlimits(prm, j, jp)
-            nodes = laguerre.build_radial_scheme(Pjp, scheme.tau).nodes
-        else:
-            nodes = scheme.radial.nodes
+        nodes = flaglet.scale_scheme(scheme, prm, j, jp, multires).radial.nodes
         S = laguerre.synthesis_matrix(scheme.radial, nodes)
         psi2 = kernels.psi_scale(j, jp) ** 2
         weight = ramp2 * psi2.sum(axis=0)
@@ -145,15 +141,11 @@ def make_sparse_signal(scheme, kernels, n_atoms=6, seed=0):
         amp = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.5)
         y = sht.ylm_point(scheme.L, theta, phi)
         krow = laguerre.synthesis_matrix(scheme.radial, np.array([r_a]))[0]
-        psi_packed = _atom_kernel(kernels, j, jp, scheme.L)
+        psi_packed = flaglet._packed_kernel(kernels.psi_scale(j, jp),
+                                            scheme.L, scheme.P)
         vals += amp * fac[None, :] * psi_packed * np.conj(y)[None, :] * krow[:, None]
     vals /= np.sqrt(np.sum(np.abs(vals) ** 2))
     return flag.FlagCoeffs(L=scheme.L, P=scheme.P, values=vals, real=True)
-
-
-def _atom_kernel(kernels, j, jp, L):
-    ell_of, _ = sht._lm_arrays(L)
-    return kernels.psi_scale(j, jp)[ell_of].T
 
 
 def scale_noise_to_snr(signal, noise, target_db):
@@ -172,14 +164,16 @@ def denoise_pipeline(scheme, kernels, clean, noisy, model, multires=True,
     """Threshold the wavelet coefficients of a noisy signal; report both SNRs.
 
     The model's sigma must describe the noise actually present in noisy
-    (after any rescaling) for the predicted levels to be meaningful.
+    (after any rescaling) for the predicted levels to be meaningful. Only
+    the thresholding step touches wavelet samples; the signal itself stays
+    in coefficient space.
     """
-    grid = flag.flag_synthesis(scheme, noisy)
-    coeffs = flaglet.flaglet_analysis(scheme, grid, kernels, multires=multires)
+    coeffs = flaglet.analysis_from_coeffs(scheme, flag._coeff_array(noisy),
+                                          kernels, multires=multires)
     plan = predict_sigma(kernels, model, scheme, multires=multires)
     plan = ThresholdPlan(profiles=plan.profiles, multiplier=multiplier,
                          multires=plan.multires)
     kept = hard_threshold(coeffs, plan)
-    rec = flaglet.flaglet_synthesis(kept, kernels, scheme)
-    den = flag.flag_analysis(scheme, rec)
+    den = flag.FlagCoeffs(L=scheme.L, P=scheme.P,
+                          values=flaglet.synthesis_to_coeffs(kept, kernels, scheme))
     return den, snr(clean, noisy), snr(clean, den)

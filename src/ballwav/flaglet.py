@@ -6,11 +6,16 @@ sampled only at its own band-limits, which is lossless because the kernel
 vanishes outside them; the scaling part always stays at full resolution.
 The frame is tight, so synthesis is the adjoint accumulation and the round
 trip is exact for band-limited signals.
+
+The transform splits at the coefficient boundary: analysis_from_coeffs maps
+coefficients f[p, lm] to a WaveletCoeffSet and synthesis_to_coeffs maps one
+back. flaglet_analysis and flaglet_synthesis wrap them with the grid
+transforms and return real arrays for real input.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -21,6 +26,15 @@ from . import flag, sht, tiling
 @lru_cache(maxsize=64)
 def _cached_scheme(L, P, tau):
     return flag.build_ball_scheme(L, P, tau)
+
+
+def scale_scheme(scheme, params, j, jp, multires):
+    """Scheme that scale (j, jp) is sampled on: its reduced one when multires
+    is set, the full one otherwise."""
+    if not multires:
+        return scheme
+    Lj, Pjp = tiling.kernel_bandlimits(params, j, jp)
+    return _cached_scheme(Lj, Pjp, scheme.tau)
 
 
 def _packed_kernel(kern2d, L_red, P_red):
@@ -63,61 +77,67 @@ def _check_match(scheme, kernels):
         raise ValueError("kernel band-limits do not match scheme")
 
 
-def flaglet_analysis(scheme, signal, kernels, multires=False):
-    """Decompose a band-limited ball signal into wavelet and scaling parts."""
+def _analysis(scheme, f, kernels, multires, real):
+    """WaveletCoeffSet of coefficients f; with real set, each part is made
+    real as soon as it is sampled, so one complex part is alive at a time."""
     _check_match(scheme, kernels)
-    vals = signal.values if isinstance(signal, flag.BallSignal) else np.asarray(signal)
-    real_in = not np.iscomplexobj(vals)
-    f = flag.flag_analysis(scheme, vals.astype(complex))
+    if f.shape != (scheme.P, scheme.L * scheme.L):
+        raise ValueError("coefficient band-limits do not match scheme")
     fac = flag.sqrt4pi_factor(scheme.L)
     prm = kernels.params
 
-    w_phi = fac[None, :] * f * _packed_kernel(kernels.phi, scheme.L, scheme.P)
-    s_vals = flag.flag_synthesis(scheme, w_phi)
-    if real_in:
-        s_vals = _to_real(s_vals, "scaling coefficients")
-    scaling = flag.BallSignal(scheme=scheme, values=s_vals)
+    def sampled(sub, w, what):
+        values = flag.flag_synthesis(sub, w)
+        if real:
+            values = _to_real(values, what)
+        return flag.BallSignal(scheme=sub, values=values)
 
+    w_phi = fac[None, :] * f * _packed_kernel(kernels.phi, scheme.L, scheme.P)
+    scaling = sampled(scheme, w_phi, "scaling coefficients")
     wavelets = {}
     for j, jp in prm.scales:
-        psi = kernels.psi_scale(j, jp)
-        if multires:
-            Lj, Pjp = tiling.kernel_bandlimits(prm, j, jp)
-            sub = _cached_scheme(Lj, Pjp, scheme.tau)
-        else:
-            Lj, Pjp, sub = scheme.L, scheme.P, scheme
-        w = fac[None, : Lj * Lj] * f[:Pjp, : Lj * Lj] * _packed_kernel(psi, Lj, Pjp)
-        w_vals = flag.flag_synthesis(sub, w)
-        if real_in:
-            w_vals = _to_real(w_vals, "wavelet (%d, %d)" % (j, jp))
-        wavelets[(j, jp)] = flag.BallSignal(scheme=sub, values=w_vals)
+        sub = scale_scheme(scheme, prm, j, jp, multires)
+        Lj, Pjp = sub.L, sub.P
+        psi = _packed_kernel(kernels.psi_scale(j, jp), Lj, Pjp)
+        w = fac[None, : Lj * Lj] * f[:Pjp, : Lj * Lj] * psi
+        wavelets[(j, jp)] = sampled(sub, w, "wavelet (%d, %d)" % (j, jp))
     return WaveletCoeffSet(params=prm, scaling=scaling, wavelets=wavelets,
                            multires=multires)
 
 
-def flaglet_synthesis(coeffs, kernels, scheme):
-    """Reconstruct the ball signal from a WaveletCoeffSet (exact round trip)."""
+def analysis_from_coeffs(scheme, f, kernels, multires=False):
+    """Wavelet and scaling parts, as complex samples, of coefficients f[p, lm]."""
+    return _analysis(scheme, np.asarray(f), kernels, multires, real=False)
+
+
+def flaglet_analysis(scheme, signal, kernels, multires=False):
+    """Decompose a band-limited ball signal into wavelet and scaling parts."""
+    vals = signal.values if isinstance(signal, flag.BallSignal) else np.asarray(signal)
+    f = flag.flag_analysis(scheme, vals.astype(complex))
+    return _analysis(scheme, f, kernels, multires, real=not np.iscomplexobj(vals))
+
+
+def synthesis_to_coeffs(coeffs, kernels, scheme):
+    """Complex coefficients f[p, lm] of the signal a WaveletCoeffSet holds."""
     _check_match(scheme, kernels)
     if coeffs.params != kernels.params:
         raise ValueError("coefficient set was built with different tiling params")
-    prm = kernels.params
     fac = flag.sqrt4pi_factor(scheme.L)
-    real_in = not np.iscomplexobj(coeffs.scaling.values)
-
-    acc = np.zeros((scheme.P, scheme.L * scheme.L), dtype=complex)
     g = flag.flag_analysis(scheme, coeffs.scaling.values.astype(complex))
-    acc += fac[None, :] * g * _packed_kernel(kernels.phi, scheme.L, scheme.P)
-    for j, jp in prm.scales:
+    acc = fac[None, :] * g * _packed_kernel(kernels.phi, scheme.L, scheme.P)
+    for j, jp in kernels.params.scales:
         w = coeffs.wavelets[(j, jp)]
-        sub = w.scheme
-        real_in = real_in and not np.iscomplexobj(w.values)
-        g = flag.flag_analysis(sub, w.values.astype(complex))
-        psi = kernels.psi_scale(j, jp)
-        Lj, Pjp = sub.L, sub.P
-        acc[:Pjp, : Lj * Lj] += (
-            fac[None, : Lj * Lj] * g * _packed_kernel(psi, Lj, Pjp)
-        )
-    out = flag.flag_synthesis(scheme, acc)
-    if real_in:
+        Lj, Pjp = w.scheme.L, w.scheme.P
+        g = flag.flag_analysis(w.scheme, w.values.astype(complex))
+        psi = _packed_kernel(kernels.psi_scale(j, jp), Lj, Pjp)
+        acc[:Pjp, : Lj * Lj] += fac[None, : Lj * Lj] * g * psi
+    return acc
+
+
+def flaglet_synthesis(coeffs, kernels, scheme):
+    """Reconstruct the ball signal from a WaveletCoeffSet (exact round trip)."""
+    out = flag.flag_synthesis(scheme, synthesis_to_coeffs(coeffs, kernels, scheme))
+    parts = [coeffs.scaling] + list(coeffs.wavelets.values())
+    if not any(np.iscomplexobj(w.values) for w in parts):
         out = _to_real(out, "reconstruction")
     return flag.BallSignal(scheme=scheme, values=out)

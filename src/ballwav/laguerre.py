@@ -94,11 +94,6 @@ def _khat_logabs(mant, ex2):
         return np.log(np.abs(mant)) + ex2 * _LN2
 
 
-def _khat_single(p, x):
-    """Khat_p(x) for one order p, via the same recurrence."""
-    return _khat_table(p + 1, x)[p]
-
-
 def _nodes_unscaled(P):
     """Roots x_i of L_P^(2) by Jacobi-matrix eigenvalues plus Newton polish.
 
@@ -203,7 +198,7 @@ def basis_k(scheme, p, r):
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise ValueError("radius must be nonnegative")
-    val = scheme.tau**-1.5 * _khat_single(p, r.ravel() / scheme.tau)
+    val = scheme.tau**-1.5 * _khat_table(p + 1, r.ravel() / scheme.tau)[p]
     return val.reshape(r.shape) if r.ndim else float(val[0])
 
 

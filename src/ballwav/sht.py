@@ -91,12 +91,6 @@ class AngularScheme:
         return (self.n_theta, self.n_phi)
 
 
-@dataclass(frozen=True)
-class SphCoeffs:
-    L: int
-    values: np.ndarray
-
-
 def build_angular_scheme(L):
     """Gauss-Legendre colatitudes and minimal equiangular longitudes for L."""
     if L < 1:
@@ -136,7 +130,7 @@ def sht_forward(scheme, samples):
 
 def sht_inverse(scheme, coeffs):
     """Evaluate coefficients (..., L*L) on the scheme grid."""
-    vals = coeffs.values if isinstance(coeffs, SphCoeffs) else np.asarray(coeffs)
+    vals = np.asarray(coeffs)
     Lc = int(np.sqrt(vals.shape[-1]))
     if Lc * Lc != vals.shape[-1]:
         raise ValueError("coefficient vector length must be a square")

@@ -136,6 +136,27 @@ def test_denoise_rejects_corrupt_input(tmp_path, capsys):
     assert "format error" in err
 
 
+@pytest.mark.parametrize("L, P, tau, code", [
+    (4, 4, float("nan"), 3),
+    (4, 4, float("inf"), 3),
+    (4, 4, -1.0, 3),
+    (4, 4, 0.0, 3),
+    (0, 4, 1.0, 3),
+    (4, 0, 1.0, 3),
+    # well formed, but a single radial order cannot be tiled: a usage error
+    (4, 1, 1.0, 2),
+])
+def test_denoise_header_values_exit_code(tmp_path, capsys, L, P, tau, code):
+    src = tmp_path / "in.flb"
+    ballfile.write_ballfile(src, ballfile.BallFile(
+        kind=ballfile.KIND_COEFFS, L=L, P=P, tau=tau, complex_payload=True,
+        coeffs=np.ones((P, L * L), dtype=complex)))
+    rc, _, err = run(capsys, "denoise", "--input", str(src),
+                     "--output", str(tmp_path / "o.flb"))
+    assert rc == code
+    assert ("format error" in err) == (code == 3)
+
+
 def test_denoise_missing_input_is_format_exit(tmp_path, capsys):
     rc, _, err = run(capsys, "denoise", "--input", str(tmp_path / "none.flb"),
                      "--output", str(tmp_path / "o.flb"))

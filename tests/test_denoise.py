@@ -55,23 +55,29 @@ def test_predict_sigma_scales_linearly():
 
 
 def test_predict_sigma_against_direct_formula():
-    # independent reimplementation: sigma^2 sum_lp ramp^2 psi^2 K_p(r)^2
+    # independent reimplementation: sigma^2 sum_lp ramp^2 psi^2 K_p(r)^2,
+    # at the full nodes and at each scale's own radial nodes
     L = P = 8
     kern = _kernels(L, P)
     scheme = flag.build_ball_scheme(L, P)
-    plan = denoise.predict_sigma(kern, denoise.NoiseModel(1.3, L, P, 0), scheme,
-                                 multires=False)
     ramp2 = (np.arange(P) / P) ** 2
-    for (j, jp), prof in plan.profiles.items():
-        psi = kern.psi_scale(j, jp)
-        expect = np.empty(P)
-        for i, r in enumerate(scheme.radial.nodes):
-            acc = 0.0
-            for p in range(P):
-                kp = laguerre.basis_k(scheme.radial, p, np.array([r]))[0]
-                acc += ramp2[p] * np.sum(psi[:, p] ** 2) * kp * kp
-            expect[i] = 1.3 * np.sqrt(acc)
-        np.testing.assert_allclose(prof, expect, rtol=1e-10)
+    for multires in (False, True):
+        plan = denoise.predict_sigma(kern, denoise.NoiseModel(1.3, L, P, 0),
+                                     scheme, multires=multires)
+        for (j, jp), prof in plan.profiles.items():
+            psi = kern.psi_scale(j, jp)
+            nodes = scheme.radial.nodes
+            if multires:
+                _, Pjp = tiling.kernel_bandlimits(kern.params, j, jp)
+                nodes = laguerre.build_radial_scheme(Pjp, scheme.tau).nodes
+            expect = np.empty(nodes.size)
+            for i, r in enumerate(nodes):
+                acc = 0.0
+                for p in range(P):
+                    kp = laguerre.basis_k(scheme.radial, p, np.array([r]))[0]
+                    acc += ramp2[p] * np.sum(psi[:, p] ** 2) * kp * kp
+                expect[i] = 1.3 * np.sqrt(acc)
+            np.testing.assert_allclose(prof, expect, rtol=1e-10)
 
 
 def test_predict_sigma_variance_matches_monte_carlo():
@@ -214,3 +220,29 @@ def test_pipeline_improves_snr():
                                                     model)
     assert snr_in == pytest.approx(5.0, abs=1e-6)
     assert snr_out > snr_in + 3.0
+
+
+def test_pipeline_reuses_cached_schemes(monkeypatch):
+    # every per-scale scheme, in the transform and in the noise prediction,
+    # comes from the flaglet cache, so a second run builds no radial scheme
+    L = P = 16
+    kern = _kernels(L, P)
+    scheme = flag.build_ball_scheme(L, P)
+    clean = denoise.make_sparse_signal(scheme, kern, seed=4)
+    noise = denoise.generate_noise(denoise.NoiseModel(1.0, L, P, seed=5))
+    noisy = flag.FlagCoeffs(L, P, clean.values + noise.values, real=True)
+    model = denoise.NoiseModel(1.0, L, P, seed=5)
+    calls = []
+    build = laguerre.build_radial_scheme
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(laguerre, "build_radial_scheme", counted)
+    flaglet._cached_scheme.cache_clear()
+    denoise.denoise_pipeline(scheme, kern, clean, noisy, model)
+    assert calls
+    calls.clear()
+    denoise.denoise_pipeline(scheme, kern, clean, noisy, model)
+    assert calls == []

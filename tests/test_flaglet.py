@@ -18,6 +18,14 @@ def test_round_trip(multires):
     w = flaglet.flaglet_analysis(scheme, sig, kernels, multires=multires)
     back = flaglet.flaglet_synthesis(w, kernels, scheme)
     assert np.max(np.abs(back.values - sig.values)) < 1e-9
+    # the coefficient-space pair: no grid on either end
+    wc = flaglet.analysis_from_coeffs(scheme, f.values, kernels, multires=multires)
+    assert np.max(np.abs(flaglet.synthesis_to_coeffs(wc, kernels, scheme)
+                         - f.values)) < 1e-9
+    assert np.max(np.abs(wc.scaling.values - w.scaling.values)) < 1e-12
+    for s in w.scales:
+        assert wc.wavelets[s].scheme == w.wavelets[s].scheme
+        assert np.max(np.abs(wc.wavelets[s].values - w.wavelets[s].values)) < 1e-12
 
 
 def test_multires_and_full_reconstructions_agree():
