@@ -75,12 +75,15 @@ def predict_sigma(kernels, model, scheme, multires=True):
         raise ValueError("band-limits of kernels, model, and scheme disagree")
     ramp2 = (np.arange(model.P) / model.P) ** 2
     profiles = {}
+    squared = {}  # (S * S) per radial node count; every scale shares tau
     for j, jp in prm.scales:
-        nodes = flaglet.scale_scheme(scheme, prm, j, jp, multires).radial.nodes
-        S = laguerre.synthesis_matrix(scheme.radial, nodes)
+        radial = flaglet.scale_scheme(scheme, prm, j, jp, multires).radial
+        if radial.P not in squared:
+            S = laguerre.synthesis_matrix(scheme.radial, radial.nodes)
+            squared[radial.P] = S * S
         psi2 = kernels.psi_scale(j, jp) ** 2
         weight = ramp2 * psi2.sum(axis=0)
-        profiles[(j, jp)] = model.sigma * np.sqrt((S * S) @ weight)
+        profiles[(j, jp)] = model.sigma * np.sqrt(squared[radial.P] @ weight)
     return ThresholdPlan(profiles=profiles, multires=multires)
 
 

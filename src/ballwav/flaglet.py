@@ -113,7 +113,7 @@ def analysis_from_coeffs(scheme, f, kernels, multires=False):
 def flaglet_analysis(scheme, signal, kernels, multires=False):
     """Decompose a band-limited ball signal into wavelet and scaling parts."""
     vals = signal.values if isinstance(signal, flag.BallSignal) else np.asarray(signal)
-    f = flag.flag_analysis(scheme, vals.astype(complex))
+    f = flag.flag_analysis(scheme, vals)
     return _analysis(scheme, f, kernels, multires, real=not np.iscomplexobj(vals))
 
 
@@ -123,12 +123,12 @@ def synthesis_to_coeffs(coeffs, kernels, scheme):
     if coeffs.params != kernels.params:
         raise ValueError("coefficient set was built with different tiling params")
     fac = flag.sqrt4pi_factor(scheme.L)
-    g = flag.flag_analysis(scheme, coeffs.scaling.values.astype(complex))
+    g = flag.flag_analysis(scheme, coeffs.scaling.values)
     acc = fac[None, :] * g * _packed_kernel(kernels.phi, scheme.L, scheme.P)
     for j, jp in kernels.params.scales:
         w = coeffs.wavelets[(j, jp)]
         Lj, Pjp = w.scheme.L, w.scheme.P
-        g = flag.flag_analysis(w.scheme, w.values.astype(complex))
+        g = flag.flag_analysis(w.scheme, w.values)
         psi = _packed_kernel(kernels.psi_scale(j, jp), Lj, Pjp)
         acc[:Pjp, : Lj * Lj] += fac[None, : Lj * Lj] * g * psi
     return acc

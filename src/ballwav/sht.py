@@ -8,11 +8,19 @@ Coefficients are packed in (l, m) order at index l*l + l + m.
 Associated Legendre values come from the fully normalized ascending-l
 recurrence with the Condon-Shortley phase; the sectorial seed is assembled in
 log space so high orders degrade by harmless underflow instead of NaNs.
+
+A scheme stores one unweighted table of P_lm for m >= 0 only, L x L x L
+float64 values (16.8 MB at L=128). Both directions split the FFT bins into
+an m >= 0 and an m < 0 half and contract each against that table, taking
+P_{l,-m} = (-1)^m P_lm; the forward transform applies the quadrature
+weights to its FFT output in place. The layout follows the m-blocked,
+symmetry-halved one of McEwen & Wiaux 2011 and SHTns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,16 +39,15 @@ def _lm_arrays(L):
     return ell, m
 
 
-def _legendre_bin_tensor(L, ct, st):
-    """Normalized P_lm at each node, laid out by FFT bin.
+def _legendre_table(L, ct, st):
+    """Normalized P_lm at each node for m >= 0, shape (L, L, n_nodes).
 
-    Returns (F, L, n_nodes) with F = 2L-1; bin mi holds m = mi for mi < L and
-    m = mi - F (negative) above, using P_{l,-m} = (-1)^m P_{lm}. Entries with
-    l < |m| are zero.
+    Entry [m, l, t] holds P_lm(cos theta_t) with the Condon-Shortley phase;
+    entries with l < m are zero. Negative orders are not stored: callers use
+    P_{l,-m} = (-1)^m P_lm.
     """
-    F = 2 * L - 1
     n = ct.size
-    pos = np.zeros((L, L, n))
+    plm = np.zeros((L, L, n))
     with np.errstate(divide="ignore"):
         log_st = np.log(st)
     # sectorial seeds P_mm, log-space magnitude with (-1)^m sign
@@ -49,9 +56,9 @@ def _legendre_bin_tensor(L, ct, st):
         if m > 0:
             log_fac += 0.5 * np.log((2 * m + 1) / (2.0 * m))
         pmm = ((-1.0) ** m) * np.exp(log_fac + m * log_st) / _SQRT4PI
-        pos[m, m] = pmm
+        plm[m, m] = pmm
         if m + 1 < L:
-            pos[m, m + 1] = np.sqrt(2 * m + 3.0) * ct * pmm
+            plm[m, m + 1] = np.sqrt(2 * m + 3.0) * ct * pmm
         for ell in range(m + 2, L):
             a = np.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - m * m))
             b = np.sqrt(
@@ -60,27 +67,41 @@ def _legendre_bin_tensor(L, ct, st):
                 * ((ell - 1.0) ** 2 - m * m)
                 / (ell * ell - m * m)
             )
-            pos[m, ell] = a * ct * pos[m, ell - 1] - b * pos[m, ell - 2]
-    out = np.zeros((F, L, n))
-    out[:L] = pos
-    for m in range(1, L):
-        out[F - m] = ((-1.0) ** m) * pos[m]
-    return out
+            plm[m, ell] = a * ct * plm[m, ell - 1] - b * plm[m, ell - 2]
+    return plm
+
+
+@lru_cache(maxsize=64)
+def _halves(L):
+    """Packed indices of the m >= 0 and the m < 0 coefficients, and their cells.
+
+    The Legendre step works on two binned halves indexed [row, l]: row m for
+    m >= 0, against table rows 0..L-1, and row |m| - 1 for m < 0, against
+    table rows 1..L-1. Returns (index, row, l) for the first half and
+    (index, row, l, (-1)^m) for the second. None of it depends on the scheme
+    band-limit, so a lower band-limit L indexes a prefix of the cells.
+    """
+    ell, m = _lm_arrays(L)
+    pos = np.flatnonzero(m >= 0)
+    neg = np.flatnonzero(m < 0)
+    parts = ((pos, m[pos], ell[pos]),
+             (neg, -m[neg] - 1, ell[neg], (-1.0) ** m[neg]))
+    for part in parts:
+        for a in part:
+            a.flags.writeable = False  # cached: every caller shares them
+    return parts
 
 
 @dataclass(frozen=True)
 class AngularScheme:
-    """Sampling and precomputed transform tensors for band-limit L."""
+    """Sampling and the unweighted m >= 0 Legendre table for band-limit L."""
 
     L: int
     thetas: np.ndarray
     theta_weights: np.ndarray
     n_phi: int
     phis: np.ndarray
-    _pbar: np.ndarray = field(repr=False)
-    _fwd: np.ndarray = field(repr=False)
-    _pack_mi: np.ndarray = field(repr=False)
-    _pack_ell: np.ndarray = field(repr=False)
+    _plm: np.ndarray = field(repr=False)
 
     @property
     def n_theta(self):
@@ -99,33 +120,41 @@ def build_angular_scheme(L):
     order = np.argsort(-xgl)  # theta ascending
     ct, w = xgl[order], wgl[order]
     st = np.sqrt(1.0 - ct * ct)
-    thetas = np.arccos(ct)
     F = 2 * L - 1
-    phis = 2.0 * np.pi * np.arange(F) / F
-    pbar = _legendre_bin_tensor(L, ct, st)
-    fwd = pbar * (w * (2.0 * np.pi / F))[None, None, :]
-    ell, m = _lm_arrays(L)
     return AngularScheme(
         L=L,
-        thetas=thetas,
+        thetas=np.arccos(ct),
         theta_weights=w,
         n_phi=F,
-        phis=phis,
-        _pbar=pbar,
-        _fwd=fwd,
-        _pack_mi=(np.mod(m, F)).astype(np.int64),
-        _pack_ell=ell,
+        phis=2.0 * np.pi * np.arange(F) / F,
+        _plm=_legendre_table(L, ct, st),
     )
 
 
 def sht_forward(scheme, samples):
-    """Coefficients f_lm of a grid (..., n_theta, n_phi); exact at band-limit L."""
+    """Coefficients f_lm of a grid (..., n_theta, n_phi); exact at band-limit L.
+
+    FFT bins 0..L-1 hold m = 0..L-1 and bins 2L-2 down to L hold m = -1 down
+    to -(L-1).
+    """
     vals = samples.values if hasattr(samples, "values") else np.asarray(samples)
     if vals.shape[-2:] != scheme.grid_shape:
         raise ValueError("grid shape does not match scheme")
+    L, plm = scheme.L, scheme._plm
+    # each grid-sized temporary is dropped once spent, to bound peak memory
     G = np.fft.fft(vals, axis=-1)
-    binned = np.einsum("mlt,...tm->...ml", scheme._fwd, G)
-    return binned[..., scheme._pack_mi, scheme._pack_ell]
+    G *= (scheme.theta_weights * (2.0 * np.pi / scheme.n_phi))[:, None]
+    pos = np.einsum("mlt,...tm->...ml", plm, G[..., :L])
+    neg = np.einsum("mlt,...tm->...ml", plm[1:], G[..., :L - 1:-1])
+    del G
+    (i_p, r_p, l_p), (i_n, r_n, l_n, sign) = _halves(L)
+    out = np.empty(pos.shape[:-2] + (L * L,), dtype=complex)
+    out[..., i_p] = pos[..., r_p, l_p]
+    del pos
+    neg = neg[..., r_n, l_n]
+    neg *= sign
+    out[..., i_n] = neg
+    return out
 
 
 def sht_inverse(scheme, coeffs):
@@ -136,26 +165,33 @@ def sht_inverse(scheme, coeffs):
         raise ValueError("coefficient vector length must be a square")
     if Lc > scheme.L:
         raise ValueError("coefficient band-limit exceeds scheme")
-    if Lc < scheme.L:
-        ell, m = _lm_arrays(Lc)
-        full = np.zeros(vals.shape[:-1] + (scheme.L**2,), dtype=complex)
-        full[..., ell * ell + ell + m] = vals
-        vals = full
-    F = scheme.n_phi
-    binned = np.zeros(vals.shape[:-1] + (F, scheme.L), dtype=complex)
-    binned[..., scheme._pack_mi, scheme._pack_ell] = vals
-    H = np.einsum("mlt,...ml->...tm", scheme._pbar, binned)
-    return np.fft.ifft(H, axis=-1) * F
+    L, plm = scheme.L, scheme._plm
+    (i_p, r_p, l_p), (i_n, r_n, l_n, sign) = _halves(Lc)
+    batch = vals.shape[:-1]
+    # each grid-sized temporary is dropped once spent, to bound peak memory
+    H = np.empty(batch + scheme.grid_shape, dtype=complex)
+    half = np.zeros(batch + (L, L), dtype=complex)
+    half[..., r_p, l_p] = vals[..., i_p]
+    H[..., :L] = np.einsum("mlt,...ml->...tm", plm, half)
+    half = np.zeros(batch + (L - 1, L), dtype=complex)
+    half[..., r_n, l_n] = sign * vals[..., i_n]
+    # bins L..2L-2 hold m = -(L-1)..-1, the half's rows in reverse
+    H[..., L:] = np.einsum("mlt,...ml->...tm", plm[1:], half)[..., ::-1]
+    del half
+    out = np.fft.ifft(H, axis=-1)
+    del H
+    out *= scheme.n_phi
+    return out
 
 
 def ylm_point(L, theta, phi):
     """Y_lm(theta, phi) for all l < L, packed; used for pointwise evaluation."""
     ct = np.array([np.cos(theta)])
     st = np.array([np.sin(theta)])
-    pbar = _legendre_bin_tensor(L, ct, st)[:, :, 0]
+    plm = _legendre_table(L, ct, st)[:, :, 0]
     ell, m = _lm_arrays(L)
-    F = 2 * L - 1
-    return pbar[np.mod(m, F), ell] * np.exp(1j * m * phi)
+    sign = np.where(m < 0, (-1.0) ** m, 1.0)
+    return sign * plm[np.abs(m), ell] * np.exp(1j * m * phi)
 
 
 def sph_parseval_energy(scheme, samples):

@@ -224,7 +224,8 @@ def test_pipeline_improves_snr():
 
 def test_pipeline_reuses_cached_schemes(monkeypatch):
     # every per-scale scheme, in the transform and in the noise prediction,
-    # comes from the flaglet cache, so a second run builds no radial scheme
+    # comes from the flaglet cache, so a second run builds no radial scheme;
+    # the noise prediction builds one radial matrix per distinct node count
     L = P = 16
     kern = _kernels(L, P)
     scheme = flag.build_ball_scheme(L, P)
@@ -233,16 +234,22 @@ def test_pipeline_reuses_cached_schemes(monkeypatch):
     noisy = flag.FlagCoeffs(L, P, clean.values + noise.values, real=True)
     model = denoise.NoiseModel(1.0, L, P, seed=5)
     calls = []
-    build = laguerre.build_radial_scheme
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return build(*args, **kwargs)
+    def counted(fn):
+        def wrapped(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapped
 
-    monkeypatch.setattr(laguerre, "build_radial_scheme", counted)
+    for name in ("build_radial_scheme", "synthesis_matrix"):
+        monkeypatch.setattr(laguerre, name, counted(getattr(laguerre, name)))
     flaglet._cached_scheme.cache_clear()
     denoise.denoise_pipeline(scheme, kern, clean, noisy, model)
-    assert calls
+    assert "build_radial_scheme" in calls
     calls.clear()
     denoise.denoise_pipeline(scheme, kern, clean, noisy, model)
-    assert calls == []
+    # 25 scales sample on 2, 4, 8 or 16 radial nodes
+    assert calls == ["synthesis_matrix"] * 4
+    calls.clear()
+    denoise.denoise_pipeline(scheme, kern, clean, noisy, model, multires=False)
+    assert calls == ["synthesis_matrix"]

@@ -45,7 +45,7 @@ def test_zero_signal_zero_coeffs():
     assert np.all(out == 0.0)
 
 
-@pytest.mark.parametrize("LP", [8, 16, 32])
+@pytest.mark.parametrize("LP", [8, 16, 32, 128])
 def test_round_trip(LP):
     sch = flag.build_ball_scheme(LP, LP)
     f = flag.random_coeffs(LP, LP, seed=LP)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -42,6 +43,16 @@ def test_theta_weights_total_measure(L):
     assert sch.n_phi == 2 * L - 1
 
 
+@pytest.mark.parametrize("L", [16, 64])
+def test_scheme_holds_one_legendre_table(L):
+    # one float64 P_lm table over m >= 0, plus the O(L) nodes and weights
+    sch = sht.build_angular_scheme(L)
+    held = sum(v.nbytes for v in (getattr(sch, f.name) for f in dataclasses.fields(sch))
+               if isinstance(v, np.ndarray))
+    per_node = sch.thetas.nbytes + sch.theta_weights.nbytes + sch.phis.nbytes
+    assert held <= L * L * sch.n_theta * 8 + per_node
+
+
 def test_invalid_band_limit():
     with pytest.raises(ValueError):
         sht.build_angular_scheme(0)
@@ -65,16 +76,20 @@ def test_forward_constant_grid():
     assert np.max(np.abs(coeffs[1:])) < 1e-12
 
 
-def test_forward_pure_harmonic_sampled_from_scipy():
-    # grid built from the external evaluation, not from our own inverse
+@pytest.mark.parametrize("ell, m", [(ell, m) for ell in range(6)
+                                     for m in range(-ell, ell + 1)])
+def test_forward_pure_harmonic_sampled_from_scipy(ell, m):
+    # grid built from the external evaluation, not from our own inverse; a
+    # sign error at negative m shared by both directions would survive a
+    # round trip but not this
     L = 6
     sch = sht.build_angular_scheme(L)
     tt, pp = np.meshgrid(sch.thetas, sch.phis, indexing="ij")
-    grid = sph_harm_y(2, 1, tt, pp)
-    coeffs = sht.sht_forward(sch, grid)
-    expect = np.zeros(L * L)
-    expect[sht.lm_index(2, 1)] = 1.0
-    np.testing.assert_allclose(coeffs, expect, atol=1e-12)
+    grid = sph_harm_y(ell, m, tt, pp)
+    unit = np.zeros(L * L, dtype=complex)
+    unit[sht.lm_index(ell, m)] = 1.0
+    np.testing.assert_allclose(sht.sht_forward(sch, grid), unit, atol=1e-12)
+    np.testing.assert_allclose(sht.sht_inverse(sch, unit), grid, atol=1e-12)
 
 
 def test_inverse_unit_monopole():
