@@ -5,7 +5,8 @@ Layout, all little-endian:
   kind 0 (samples):      n_r u32, n_theta u32, n_phi u32, payload
   kind 1 (coefficients): payload of P*L*L values, p-major
   kind 2 (wavelet set):  lambda f64, nu f64, J0 u32, J0p u32, multires u8,
-                         n_scales u32, scaling block, then per scale
+                         n_scales u32, scaling block, then per scale, in
+                         ascending (j, jp) order and each scale once,
                          j u32, jp u32, followed by its own sample block
 Sample blocks are n_r u32, n_theta u32, n_phi u32 and the row-major payload.
 flags bit 0 set means complex values stored as interleaved f64 pairs; clear
@@ -113,9 +114,12 @@ class _Reader:
         return np.frombuffer(raw, dtype="<f8").astype(np.float64)
 
     def sample_block(self, complex_payload, what):
-        n_r, n_t, n_p = self.unpack(_DIMS, what + " dims")
-        arr = self.array(n_r * n_t * n_p, complex_payload, what)
-        return arr.reshape(n_r, n_t, n_p)
+        dims = self.unpack(_DIMS, what + " dims")
+        arr = self.array(dims[0] * dims[1] * dims[2], complex_payload, what)
+        try:
+            return arr.reshape(dims)
+        except ValueError:  # an empty block whose other dims overflow
+            raise BallFileError("%s dims %r too large" % (what, dims)) from None
 
 
 def from_bytes(buf):
@@ -139,13 +143,19 @@ def from_bytes(buf):
         bf.coeffs = rd.array(P * L * L, cplx, "coefficients").reshape(P, L * L)
     elif kind == KIND_WAVELETS:
         lam, nu, J0, J0p, multires, n_scales = rd.unpack(_TILING, "tiling")
+        if multires not in (0, 1):
+            raise BallFileError("multires byte must be 0 or 1, got %d" % multires)
         bf.lam, bf.nu, bf.J0, bf.J0p = lam, nu, J0, J0p
         bf.multires = bool(multires)
         bf.scaling = rd.sample_block(cplx, "scaling")
         bf.wavelets = {}
+        prev = None
         for _ in range(n_scales):
-            j, jp = rd.unpack(_SCALE, "scale index")
-            bf.wavelets[(j, jp)] = rd.sample_block(cplx, "scale (%d,%d)" % (j, jp))
+            key = rd.unpack(_SCALE, "scale index")
+            if prev is not None and key <= prev:
+                raise BallFileError("scale (%d,%d) repeated or out of order" % key)
+            bf.wavelets[key] = rd.sample_block(cplx, "scale (%d,%d)" % key)
+            prev = key
     else:
         raise BallFileError("unknown kind %d" % kind)
     if rd.pos != len(buf):

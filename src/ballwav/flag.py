@@ -2,9 +2,14 @@
 
 A ball signal sampled on (radial node, theta, phi) maps to coefficients
 f[p, lm] by running the spherical transform shell by shell and the radial
-analysis along each (l, m) line; both orders commute. The bridge evaluates
-the analytic overlap of the radial basis with spherical Bessel functions,
-giving Fourier-Bessel coefficients of band-limited signals as finite sums.
+analysis along each (l, m) line; both orders commute. When only the
+coefficients p < Pc, l < Lc are nonzero or wanted, the angular transform
+works at Lc and runs on whichever side of the radial step has Pc rows, so a
+band-limited block costs what its band-limits need on the full grid.
+
+The bridge evaluates the analytic overlap of the radial basis with spherical
+Bessel functions, giving Fourier-Bessel coefficients of band-limited signals
+as finite sums.
 """
 
 from __future__ import annotations
@@ -74,31 +79,52 @@ def _coeff_array(coeffs):
     return coeffs.values if isinstance(coeffs, FlagCoeffs) else np.asarray(coeffs)
 
 
-def flag_analysis(scheme, signal):
+def flag_analysis(scheme, signal, bandlimits=None):
     """Coefficients of a sampled ball signal; exact at band-limits (L, P).
 
     Accepts a BallSignal or a bare array (..., P, n_theta, n_phi); leading
-    axes are batched through untouched.
+    axes are batched through untouched. Output band-limits (Lc, Pc) <= (L, P)
+    return only the rows p < Pc and the coefficients l < Lc, computed at
+    that cost: with Pc < P the radial step runs first, on the grid, so the
+    angular transform sees Pc rows instead of P.
     """
     vals = signal.values if isinstance(signal, BallSignal) else np.asarray(signal)
     if vals.shape[-3:] != scheme.grid_shape:
         raise ValueError("signal grid does not match scheme")
-    shells = sht.sht_forward(scheme.angular, vals)
-    out = np.einsum("pi,...il->...pl", scheme.radial.weighted_basis, shells)
+    Lc, Pc = (scheme.L, scheme.P) if bandlimits is None else bandlimits
+    if not 1 <= Pc <= scheme.P:
+        raise ValueError("output band-limit %r not in 1..%d" % (Pc, scheme.P))
+    B = scheme.radial.weighted_basis
+    if Pc < scheme.P:
+        rows = np.einsum("pi,...itk->...ptk", B[:Pc], vals)
+        out = sht.sht_forward(scheme.angular, rows, Lc)
+    else:
+        shells = sht.sht_forward(scheme.angular, vals, Lc)
+        out = np.einsum("pi,...il->...pl", B, shells)
     if isinstance(signal, BallSignal):
-        return FlagCoeffs(L=scheme.L, P=scheme.P, values=out)
+        return FlagCoeffs(L=Lc, P=Pc, values=out)
     return out
 
 
 def flag_synthesis(scheme, coeffs):
-    """Evaluate coefficients on the scheme grid (inverse of flag_analysis)."""
+    """Evaluate coefficients (..., Pc, Lc*Lc) with (Lc, Pc) <= (L, P) on the
+    scheme grid (inverse of flag_analysis).
+
+    With Pc < P the angular transform runs first, on the Pc rows, and the
+    radial step then maps them to the P nodes.
+    """
     vals = _coeff_array(coeffs)
     Pc = vals.shape[-2]
     if Pc > scheme.P or vals.shape[-1] > scheme.L**2:
         raise ValueError("coefficient band-limits exceed scheme")
     S = scheme.radial.node_synthesis[:, :Pc]
-    at_nodes = np.einsum("ip,...pl->...il", S, vals)
-    grid = sht.sht_inverse(scheme.angular, at_nodes)
+    if Pc < scheme.P:
+        rows = sht.sht_inverse(scheme.angular, vals)
+        # contract (re, im) pairs so that the real S is not promoted to complex
+        grid = np.einsum("ip,...ptk->...itk", S, rows.view(float)).view(complex)
+    else:
+        at_nodes = np.einsum("ip,...pl->...il", S, vals)
+        grid = sht.sht_inverse(scheme.angular, at_nodes)
     if isinstance(coeffs, FlagCoeffs):
         return BallSignal(scheme=scheme, values=grid)
     return grid

@@ -1,11 +1,13 @@
 """Wavelet analysis and synthesis on the ball.
 
 Each scale is a harmonic product of the signal coefficients with one tiling
-kernel, mapped back to real space. In multiresolution mode a scale is
-sampled only at its own band-limits, which is lossless because the kernel
-vanishes outside them; the scaling part always stays at full resolution.
-The frame is tight, so synthesis is the adjoint accumulation and the round
-trip is exact for band-limited signals.
+kernel, mapped back to real space. The kernel of scale (j, jp) vanishes
+outside its band-limits (Lj, Pjp), so in both modes a scale's coefficient
+block and its transforms work at (Lj, Pjp). Only the sampling differs: in
+multiresolution mode a scale is sampled on its own (Lj, Pjp) grid, which is
+lossless, and at full resolution on the full grid. The scaling part always
+stays at full resolution. The frame is tight, so synthesis is the adjoint
+accumulation and the round trip is exact for band-limited signals.
 
 The transform splits at the coefficient boundary: analysis_from_coeffs maps
 coefficients f[p, lm] to a WaveletCoeffSet and synthesis_to_coeffs maps one
@@ -28,12 +30,18 @@ def _cached_scheme(L, P, tau):
     return flag.build_ball_scheme(L, P, tau)
 
 
+def scale_bandlimits(params, j, jp):
+    """Band-limits (Lj, Pjp) of scale (j, jp): its kernel vanishes at l >= Lj
+    and at p >= Pjp."""
+    return tiling.kernel_bandlimits(params, j, jp)
+
+
 def scale_scheme(scheme, params, j, jp, multires):
     """Scheme that scale (j, jp) is sampled on: its reduced one when multires
     is set, the full one otherwise."""
     if not multires:
         return scheme
-    Lj, Pjp = tiling.kernel_bandlimits(params, j, jp)
+    Lj, Pjp = scale_bandlimits(params, j, jp)
     return _cached_scheme(Lj, Pjp, scheme.tau)
 
 
@@ -96,8 +104,8 @@ def _analysis(scheme, f, kernels, multires, real):
     scaling = sampled(scheme, w_phi, "scaling coefficients")
     wavelets = {}
     for j, jp in prm.scales:
+        Lj, Pjp = scale_bandlimits(prm, j, jp)
         sub = scale_scheme(scheme, prm, j, jp, multires)
-        Lj, Pjp = sub.L, sub.P
         psi = _packed_kernel(kernels.psi_scale(j, jp), Lj, Pjp)
         w = fac[None, : Lj * Lj] * f[:Pjp, : Lj * Lj] * psi
         wavelets[(j, jp)] = sampled(sub, w, "wavelet (%d, %d)" % (j, jp))
@@ -127,8 +135,8 @@ def synthesis_to_coeffs(coeffs, kernels, scheme):
     acc = fac[None, :] * g * _packed_kernel(kernels.phi, scheme.L, scheme.P)
     for j, jp in kernels.params.scales:
         w = coeffs.wavelets[(j, jp)]
-        Lj, Pjp = w.scheme.L, w.scheme.P
-        g = flag.flag_analysis(w.scheme, w.values)
+        Lj, Pjp = scale_bandlimits(kernels.params, j, jp)
+        g = flag.flag_analysis(w.scheme, w.values, (Lj, Pjp))
         psi = _packed_kernel(kernels.psi_scale(j, jp), Lj, Pjp)
         acc[:Pjp, : Lj * Lj] += fac[None, : Lj * Lj] * g * psi
     return acc

@@ -15,6 +15,11 @@ an m >= 0 and an m < 0 half and contract each against that table, taking
 P_{l,-m} = (-1)^m P_lm; the forward transform applies the quadrature
 weights to its FFT output in place. The layout follows the m-blocked,
 symmetry-halved one of McEwen & Wiaux 2011 and SHTns.
+
+Coefficients at a band-limit Lc < L still live on the band-limit-L grid,
+but cost only what Lc needs: both directions contract the table block
+m, l < Lc and touch the 2Lc-1 FFT bins of orders |m| < Lc. sht_inverse reads
+Lc from its input; sht_forward takes it as an output band-limit.
 """
 
 from __future__ import annotations
@@ -131,24 +136,31 @@ def build_angular_scheme(L):
     )
 
 
-def sht_forward(scheme, samples):
+def sht_forward(scheme, samples, Lc=None):
     """Coefficients f_lm of a grid (..., n_theta, n_phi); exact at band-limit L.
 
     FFT bins 0..L-1 hold m = 0..L-1 and bins 2L-2 down to L hold m = -1 down
-    to -(L-1).
+    to -(L-1). With an output band-limit Lc < L only the coefficients l < Lc
+    are computed, from the 2Lc-1 bins and the table rows m, l < Lc they need.
     """
     vals = samples.values if hasattr(samples, "values") else np.asarray(samples)
     if vals.shape[-2:] != scheme.grid_shape:
         raise ValueError("grid shape does not match scheme")
-    L, plm = scheme.L, scheme._plm
+    L = scheme.L
+    Lc = L if Lc is None else Lc
+    if not 1 <= Lc <= L:
+        raise ValueError("output band-limit %r not in 1..%d" % (Lc, L))
+    plm = scheme._plm[:Lc, :Lc]
     # each grid-sized temporary is dropped once spent, to bound peak memory
     G = np.fft.fft(vals, axis=-1)
+    if Lc < L:  # keep bins m = 0..Lc-1 and m = -(Lc-1)..-1, in FFT order
+        G = np.concatenate((G[..., :Lc], G[..., scheme.n_phi - Lc + 1:]), axis=-1)
     G *= (scheme.theta_weights * (2.0 * np.pi / scheme.n_phi))[:, None]
-    pos = np.einsum("mlt,...tm->...ml", plm, G[..., :L])
-    neg = np.einsum("mlt,...tm->...ml", plm[1:], G[..., :L - 1:-1])
+    pos = np.einsum("mlt,...tm->...ml", plm, G[..., :Lc])
+    neg = np.einsum("mlt,...tm->...ml", plm[1:], G[..., :Lc - 1:-1])
     del G
-    (i_p, r_p, l_p), (i_n, r_n, l_n, sign) = _halves(L)
-    out = np.empty(pos.shape[:-2] + (L * L,), dtype=complex)
+    (i_p, r_p, l_p), (i_n, r_n, l_n, sign) = _halves(Lc)
+    out = np.empty(pos.shape[:-2] + (Lc * Lc,), dtype=complex)
     out[..., i_p] = pos[..., r_p, l_p]
     del pos
     neg = neg[..., r_n, l_n]
@@ -158,29 +170,35 @@ def sht_forward(scheme, samples):
 
 
 def sht_inverse(scheme, coeffs):
-    """Evaluate coefficients (..., L*L) on the scheme grid."""
+    """Evaluate coefficients (..., Lc*Lc) with Lc <= L on the scheme grid.
+
+    Only the table rows m, l < Lc are contracted; the bins of orders
+    |m| >= Lc are set to zero.
+    """
     vals = np.asarray(coeffs)
     Lc = int(np.sqrt(vals.shape[-1]))
     if Lc * Lc != vals.shape[-1]:
         raise ValueError("coefficient vector length must be a square")
-    if Lc > scheme.L:
-        raise ValueError("coefficient band-limit exceeds scheme")
-    L, plm = scheme.L, scheme._plm
+    if not 1 <= Lc <= scheme.L:
+        raise ValueError("coefficient band-limit %d not in 1..%d" % (Lc, scheme.L))
+    F, plm = scheme.n_phi, scheme._plm[:Lc, :Lc]
     (i_p, r_p, l_p), (i_n, r_n, l_n, sign) = _halves(Lc)
     batch = vals.shape[:-1]
     # each grid-sized temporary is dropped once spent, to bound peak memory
     H = np.empty(batch + scheme.grid_shape, dtype=complex)
-    half = np.zeros(batch + (L, L), dtype=complex)
+    half = np.zeros(batch + (Lc, Lc), dtype=complex)
     half[..., r_p, l_p] = vals[..., i_p]
-    H[..., :L] = np.einsum("mlt,...ml->...tm", plm, half)
-    half = np.zeros(batch + (L - 1, L), dtype=complex)
+    H[..., :Lc] = np.einsum("mlt,...ml->...tm", plm, half)
+    half = np.zeros(batch + (Lc - 1, Lc), dtype=complex)
     half[..., r_n, l_n] = sign * vals[..., i_n]
-    # bins L..2L-2 hold m = -(L-1)..-1, the half's rows in reverse
-    H[..., L:] = np.einsum("mlt,...ml->...tm", plm[1:], half)[..., ::-1]
+    # bins F-Lc+1..F-1 hold m = -(Lc-1)..-1, the half's rows in reverse
+    H[..., F - Lc + 1:] = np.einsum("mlt,...ml->...tm", plm[1:], half)[..., ::-1]
     del half
+    if Lc < scheme.L:
+        H[..., Lc:F - Lc + 1] = 0.0
     out = np.fft.ifft(H, axis=-1)
     del H
-    out *= scheme.n_phi
+    out *= F
     return out
 
 

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -184,3 +186,148 @@ def test_write_is_deterministic(tmp_path):
     ballfile.write_ballfile(p1, bf)
     ballfile.write_ballfile(p2, bf)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _small_wavelet_bytes():
+    scheme = flag.build_ball_scheme(4, 4)
+    kern = tiling.build_tiling(tiling.make_tiling_params(2.0, 2.0, 4, 4))
+    sig = flag.flag_synthesis(scheme, flag.random_coeffs(4, 4, seed=8, real=True))
+    w = flaglet.flaglet_analysis(scheme, sig.values.real, kern, multires=True)
+    return ballfile.to_bytes(ballfile.pack_wavelets(w))
+
+
+def _sample_bytes():
+    scheme = flag.build_ball_scheme(3, 2)
+    sig = flag.flag_synthesis(scheme, flag.random_coeffs(3, 2, seed=9))
+    return ballfile.to_bytes(ballfile.pack_samples(sig))
+
+
+# valid containers of all three kinds: samples, coefficients, wavelet set
+VALID = (_sample_bytes(), _coeff_bytes(), _small_wavelet_bytes())
+_HEADER_FIELDS = (("magic", 0, "<4s"), ("version", 4, "<H"), ("kind", 6, "<B"),
+                  ("flags", 7, "<B"), ("L", 8, "<I"), ("P", 12, "<I"),
+                  ("tau", 16, "<d"))
+_TILING_FIELDS = (("lam", 0, "<d"), ("nu", 8, "<d"), ("J0", 16, "<I"),
+                  ("J0p", 20, "<I"), ("multires", 24, "<B"), ("n_scales", 25, "<I"))
+
+
+def _fields(buf):
+    """(name, offset, struct format) of every header and index field of a
+    valid container, found by walking its layout."""
+    fields = list(_HEADER_FIELDS)
+    _, _, kind, flags, _, _, _ = ballfile._HEADER.unpack_from(buf)
+    item = 16 if flags & 1 else 8
+    pos = ballfile._HEADER.size
+
+    def block(pos):
+        fields.extend((name, pos + 4 * i, "<I")
+                      for i, name in enumerate(("n_r", "n_theta", "n_phi")))
+        n_r, n_t, n_p = ballfile._DIMS.unpack_from(buf, pos)
+        return pos + ballfile._DIMS.size + item * n_r * n_t * n_p
+
+    if kind == ballfile.KIND_SAMPLES:
+        block(pos)
+    elif kind == ballfile.KIND_WAVELETS:
+        fields.extend((name, pos + off, fmt) for name, off, fmt in _TILING_FIELDS)
+        n_scales = ballfile._TILING.unpack_from(buf, pos)[-1]
+        pos = block(pos + ballfile._TILING.size)
+        for _ in range(n_scales):
+            fields.extend((("j", pos, "<I"), ("jp", pos + 4, "<I")))
+            pos = block(pos + ballfile._SCALE.size)
+    return fields
+
+
+def _field_value(fmt):
+    code = fmt[-1]
+    if code == "s":
+        return st.binary(min_size=4, max_size=4)
+    if code == "d":
+        return st.floats()
+    bits = {"B": 8, "H": 16, "I": 32}[code]
+    return st.one_of(st.integers(0, 8), st.integers(0, 2**bits - 1))
+
+
+@st.composite
+def _mutated(draw, buf):
+    """buf with one to three bit flips, truncations or appended bytes."""
+    buf = bytearray(buf)
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(("flip", "truncate", "append")))
+        if op == "flip" and buf:
+            bit = draw(st.integers(0, 8 * len(buf) - 1))
+            buf[bit // 8] ^= 1 << (bit % 8)
+        elif op == "truncate":
+            del buf[draw(st.integers(0, len(buf))):]
+        elif op == "append":
+            buf += draw(st.binary(min_size=1, max_size=24))
+    return bytes(buf)
+
+
+@st.composite
+def _field_set(draw, buf):
+    """buf with one header or index field overwritten; the field name is
+    drawn first, so that each kind of field is hit as often."""
+    buf = bytearray(buf)
+    fields = _fields(buf)
+    name = draw(st.sampled_from(sorted({f[0] for f in fields})))
+    _, off, fmt = draw(st.sampled_from([f for f in fields if f[0] == name]))
+    struct.pack_into(fmt, buf, off, draw(_field_value(fmt)))
+    return bytes(buf)
+
+
+def _parses_or_rejects(buf):
+    """from_bytes either raises BallFileError or returns a file that writes
+    back to exactly the same bytes."""
+    try:
+        bf = ballfile.from_bytes(buf)
+    except ballfile.BallFileError:
+        return
+    assert ballfile.to_bytes(bf) == buf
+
+
+@given(st.one_of(st.binary(max_size=96),
+                 st.builds(bytes.__add__,
+                           st.sampled_from([b[:ballfile._HEADER.size] for b in VALID]),
+                           st.binary(max_size=96))))
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_fuzz_random_bytes(buf):
+    _parses_or_rejects(buf)
+
+
+@pytest.mark.parametrize("kind", range(3))
+@given(data=st.data())
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_fuzz_header_fields(kind, data):
+    _parses_or_rejects(data.draw(_field_set(VALID[kind])))
+
+
+@given(st.sampled_from(VALID).flatmap(_mutated))
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_fuzz_mutated_containers(buf):
+    _parses_or_rejects(buf)
+
+
+def _field_offset(buf, name, nth=0):
+    return [off for n, off, _ in _fields(buf) if n == name][nth]
+
+
+def test_repeated_scale_rejected():
+    data = bytearray(VALID[2])
+    first, second = _field_offset(data, "j", 0), _field_offset(data, "j", 1)
+    data[second:second + 8] = data[first:first + 8]
+    with pytest.raises(ballfile.BallFileError, match="repeated"):
+        ballfile.from_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("byte", [2, 255])
+def test_multires_byte_must_be_0_or_1(byte):
+    data = bytearray(VALID[2])
+    data[_field_offset(data, "multires")] = byte
+    with pytest.raises(ballfile.BallFileError, match="multires"):
+        ballfile.from_bytes(bytes(data))
+
+
+def test_empty_block_with_overflowing_dims_rejected():
+    head = VALID[0][:ballfile._HEADER.size]
+    with pytest.raises(ballfile.BallFileError):
+        ballfile.from_bytes(head + ballfile._DIMS.pack(0, 2**32 - 1, 2**32 - 1))

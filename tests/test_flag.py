@@ -108,6 +108,9 @@ def test_band_limit_errors():
         flag.flag_synthesis(sch, np.zeros((5, 16), dtype=complex))
     with pytest.raises(ValueError):
         flag.flag_synthesis(sch, np.zeros((4, 25), dtype=complex))
+    for bandlimits in ((5, 4), (4, 5), (0, 4), (4, 0)):
+        with pytest.raises(ValueError):
+            flag.flag_analysis(sch, np.zeros(sch.grid_shape), bandlimits)
 
 
 def test_real_coeffs_have_conjugate_symmetry():
@@ -184,3 +187,30 @@ def test_energy_quadrature_on_known_signal():
     c[2, sht.lm_index(1, -1)] = 1.0
     sig = flag.flag_synthesis(sch, flag.FlagCoeffs(L=6, P=6, values=c))
     assert flag.ball_energy_quadrature(sch, sig) == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("L,P,Lc,Pc", [(6, 5, 6, 5), (6, 5, 1, 1), (6, 5, 6, 2),
+                                       (6, 5, 2, 5), (9, 7, 4, 3), (8, 8, 8, 1)])
+def test_analysis_band_limits_are_a_slice(L, P, Lc, Pc):
+    sch = flag.build_ball_scheme(L, P, tau=0.8)
+    rng = np.random.default_rng(L * P + Lc)
+    grid = (rng.standard_normal((2,) + sch.grid_shape)
+            + 1j * rng.standard_normal((2,) + sch.grid_shape))
+    for g in (grid, grid.real):
+        full = flag.flag_analysis(sch, g)
+        out = flag.flag_analysis(sch, g, (Lc, Pc))
+        assert out.shape == (2, Pc, Lc * Lc)
+        assert np.max(np.abs(out - full[:, :Pc, :Lc * Lc])) < 1e-12
+    sig = flag.BallSignal(scheme=sch, values=grid[0])
+    fc = flag.flag_analysis(sch, sig, (Lc, Pc))
+    assert (fc.L, fc.P) == (Lc, Pc)
+
+
+@pytest.mark.parametrize("Lc,Pc", [(1, 1), (3, 2), (6, 4), (2, 5)])
+def test_synthesis_of_a_block_matches_zero_padding(Lc, Pc):
+    sch = flag.build_ball_scheme(6, 5)
+    block = np.stack([flag.random_coeffs(Lc, Pc, seed=s).values for s in range(2)])
+    padded = np.zeros((2, 5, 36), dtype=complex)
+    padded[:, :Pc, :Lc * Lc] = block
+    diff = flag.flag_synthesis(sch, block) - flag.flag_synthesis(sch, padded)
+    assert np.max(np.abs(diff)) < 1e-12

@@ -159,3 +159,18 @@ def test_scales_property_matches_params():
     assert set(w.wavelets) == set(kernels.params.scales)
     back = flaglet.flaglet_synthesis(w, kernels, scheme)
     assert np.max(np.abs(back.values - sig.values)) < 1e-9
+
+
+@pytest.mark.parametrize("L,P,lam,nu", [(16, 16, 2.0, 2.0), (12, 9, 3.0, 2.0)])
+def test_full_resolution_scale_matches_padded_synthesis(L, P, lam, nu):
+    # a full-resolution scale is computed at its kernel band-limits; it must
+    # equal the full-band synthesis of its zero-padded coefficient block
+    scheme, kernels = _setup(L=L, P=P, lam=lam, nu=nu)
+    f = flag.random_coeffs(L, P, seed=12).values
+    w = flaglet.analysis_from_coeffs(scheme, f, kernels, multires=False)
+    fac = flag.sqrt4pi_factor(L)
+    for j, jp in w.scales:
+        psi = flaglet._packed_kernel(kernels.psi_scale(j, jp), L, P)
+        padded = fac[None, :] * f * psi
+        ref = flag.flag_synthesis(scheme, padded)
+        assert np.max(np.abs(w.wavelets[(j, jp)].values - ref)) < 1e-12

@@ -166,6 +166,14 @@ def test_inverse_promotes_lower_band_limit():
     padded[:64] = f8
     np.testing.assert_allclose(sht.sht_inverse(big, f8),
                                sht.sht_inverse(big, padded), atol=1e-14)
+    # down to Lc = 1, and batched
+    for L, Lc in ((5, 1), (5, 2), (16, 7)):
+        sch = sht.build_angular_scheme(L)
+        f = np.stack([random_sph_coeffs(Lc, seed=s) for s in range(2)])
+        padded = np.zeros((2, L * L), dtype=complex)
+        padded[:, :Lc * Lc] = f
+        diff = sht.sht_inverse(sch, f) - sht.sht_inverse(sch, padded)
+        assert np.max(np.abs(diff)) < 1e-12
 
 
 def test_shape_and_band_limit_errors():
@@ -176,3 +184,20 @@ def test_shape_and_band_limit_errors():
         sht.sht_inverse(sch, np.zeros(25, dtype=complex))
     with pytest.raises(ValueError):
         sht.sht_inverse(sch, np.zeros(15, dtype=complex))
+    with pytest.raises(ValueError):
+        sht.sht_inverse(sch, np.zeros(0, dtype=complex))
+    for Lc in (0, 5):
+        with pytest.raises(ValueError):
+            sht.sht_forward(sch, np.zeros((4, 7)), Lc)
+
+
+@pytest.mark.parametrize("L,Lc", [(1, 1), (5, 1), (5, 2), (8, 5), (8, 8), (16, 7)])
+def test_forward_band_limit_is_a_prefix(L, Lc):
+    sch = sht.build_angular_scheme(L)
+    rng = np.random.default_rng(L + Lc)
+    grid = (rng.standard_normal((3,) + sch.grid_shape)
+            + 1j * rng.standard_normal((3,) + sch.grid_shape))
+    for g in (grid, grid.real):
+        out = sht.sht_forward(sch, g, Lc)
+        assert out.shape == (3, Lc * Lc)
+        assert np.max(np.abs(out - sht.sht_forward(sch, g)[:, :Lc * Lc])) < 1e-12
