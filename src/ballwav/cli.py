@@ -176,8 +176,10 @@ def _load_clean_coeffs(path):
         from . import flag
 
         signal = ballfile.unpack_samples(bf)
-        coeffs = flag.flag_analysis(signal.scheme, signal)
-        return coeffs, signal.scheme, bf.kind
+        scheme = signal.scheme
+        coeffs = flag.FlagCoeffs(L=scheme.L, P=scheme.P,
+                                 values=flag.flag_analysis(scheme, signal.values))
+        return coeffs, scheme, bf.kind
     if bf.kind == ballfile.KIND_COEFFS:
         from . import flag, flaglet
 
@@ -210,7 +212,8 @@ def cmd_denoise(args):
             scheme, kernels, clean, noisy, model_eff,
             multires=args.multires, multiplier=args.multiplier)
     if kind == ballfile.KIND_SAMPLES:
-        out = ballfile.pack_samples(flag.flag_synthesis(scheme, den))
+        grid = flag.flag_synthesis(scheme, den.values)
+        out = ballfile.pack_samples(flag.BallSignal(scheme=scheme, values=grid))
     else:
         out = ballfile.pack_coeffs(den, scheme.tau)
     ballfile.write_ballfile(args.output, out)

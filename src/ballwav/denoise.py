@@ -114,8 +114,8 @@ def snr(reference, observed):
 
     Returns inf when observed equals reference exactly.
     """
-    s = reference.values if isinstance(reference, flag.FlagCoeffs) else np.asarray(reference)
-    y = observed.values if isinstance(observed, flag.FlagCoeffs) else np.asarray(observed)
+    s = np.asarray(reference)
+    y = np.asarray(observed)
     if s.shape != y.shape:
         raise ValueError("band-limits do not match")
     resid = float(np.sum(np.abs(y - s) ** 2))
@@ -171,12 +171,12 @@ def denoise_pipeline(scheme, kernels, clean, noisy, model, multires=True,
     the thresholding step touches wavelet samples; the signal itself stays
     in coefficient space.
     """
-    coeffs = flaglet.analysis_from_coeffs(scheme, flag._coeff_array(noisy),
-                                          kernels, multires=multires)
+    coeffs = flaglet.analysis_from_coeffs(scheme, noisy.values, kernels,
+                                          multires=multires)
     plan = predict_sigma(kernels, model, scheme, multires=multires)
     plan = ThresholdPlan(profiles=plan.profiles, multiplier=multiplier,
                          multires=plan.multires)
     kept = hard_threshold(coeffs, plan)
-    den = flag.FlagCoeffs(L=scheme.L, P=scheme.P,
-                          values=flaglet.synthesis_to_coeffs(kept, kernels, scheme))
-    return den, snr(clean, noisy), snr(clean, den)
+    den = flaglet.synthesis_to_coeffs(kept, kernels, scheme)
+    return (flag.FlagCoeffs(L=scheme.L, P=scheme.P, values=den),
+            snr(clean.values, noisy.values), snr(clean.values, den))

@@ -10,6 +10,11 @@ band-limited block costs what its band-limits need on the full grid.
 The bridge evaluates the analytic overlap of the radial basis with spherical
 Bessel functions, giving Fourier-Bessel coefficients of band-limited signals
 as finite sums.
+
+Transforms are array-in, array-out: samples (..., P, n_theta, n_phi) and
+coefficients (..., P, L*L). BallSignal and FlagCoeffs wrap arrays only at
+the edges that need their scheme or band-limits: ballfile, denoise and the
+flaglet coefficient set.
 """
 
 from __future__ import annotations
@@ -75,20 +80,16 @@ def build_ball_scheme(L, P, tau=1.0):
     return BallScheme(radial=radial, angular=angular, R=float(radial.nodes[-1]))
 
 
-def _coeff_array(coeffs):
-    return coeffs.values if isinstance(coeffs, FlagCoeffs) else np.asarray(coeffs)
-
-
 def flag_analysis(scheme, signal, bandlimits=None):
     """Coefficients of a sampled ball signal; exact at band-limits (L, P).
 
-    Accepts a BallSignal or a bare array (..., P, n_theta, n_phi); leading
-    axes are batched through untouched. Output band-limits (Lc, Pc) <= (L, P)
+    Takes an array (..., P, n_theta, n_phi); leading axes are batched
+    through untouched. Output band-limits (Lc, Pc) <= (L, P)
     return only the rows p < Pc and the coefficients l < Lc, computed at
     that cost: with Pc < P the radial step runs first, on the grid, so the
     angular transform sees Pc rows instead of P.
     """
-    vals = signal.values if isinstance(signal, BallSignal) else np.asarray(signal)
+    vals = np.asarray(signal)
     if vals.shape[-3:] != scheme.grid_shape:
         raise ValueError("signal grid does not match scheme")
     Lc, Pc = (scheme.L, scheme.P) if bandlimits is None else bandlimits
@@ -97,13 +98,9 @@ def flag_analysis(scheme, signal, bandlimits=None):
     B = scheme.radial.weighted_basis
     if Pc < scheme.P:
         rows = np.einsum("pi,...itk->...ptk", B[:Pc], vals)
-        out = sht.sht_forward(scheme.angular, rows, Lc)
-    else:
-        shells = sht.sht_forward(scheme.angular, vals, Lc)
-        out = np.einsum("pi,...il->...pl", B, shells)
-    if isinstance(signal, BallSignal):
-        return FlagCoeffs(L=Lc, P=Pc, values=out)
-    return out
+        return sht.sht_forward(scheme.angular, rows, Lc)
+    shells = sht.sht_forward(scheme.angular, vals, Lc)
+    return np.einsum("pi,...il->...pl", B, shells)
 
 
 def flag_synthesis(scheme, coeffs):
@@ -113,7 +110,9 @@ def flag_synthesis(scheme, coeffs):
     With Pc < P the angular transform runs first, on the Pc rows, and the
     radial step then maps them to the P nodes.
     """
-    vals = _coeff_array(coeffs)
+    vals = np.asarray(coeffs)
+    if vals.ndim < 2:
+        raise ValueError("coefficients must have shape (..., Pc, Lc*Lc)")
     Pc = vals.shape[-2]
     if Pc > scheme.P or vals.shape[-1] > scheme.L**2:
         raise ValueError("coefficient band-limits exceed scheme")
@@ -121,38 +120,30 @@ def flag_synthesis(scheme, coeffs):
     if Pc < scheme.P:
         rows = sht.sht_inverse(scheme.angular, vals)
         # contract (re, im) pairs so that the real S is not promoted to complex
-        grid = np.einsum("ip,...ptk->...itk", S, rows.view(float)).view(complex)
-    else:
-        at_nodes = np.einsum("ip,...pl->...il", S, vals)
-        grid = sht.sht_inverse(scheme.angular, at_nodes)
-    if isinstance(coeffs, FlagCoeffs):
-        return BallSignal(scheme=scheme, values=grid)
-    return grid
+        return np.einsum("ip,...ptk->...itk", S, rows.view(float)).view(complex)
+    at_nodes = np.einsum("ip,...pl->...il", S, vals)
+    return sht.sht_inverse(scheme.angular, at_nodes)
 
 
 def ball_energy_quadrature(scheme, signal):
     """Quadrature of integral |f|^2 r^2 dr dOmega over the ball grid."""
-    vals = signal.values if isinstance(signal, BallSignal) else np.asarray(signal)
     q = scheme.radial.radial_quad_weights
     w = scheme.angular.theta_weights * (2.0 * np.pi / scheme.angular.n_phi)
-    return np.einsum("i,t,...itp->...", q, w, np.abs(vals) ** 2)
+    return np.einsum("i,t,...itp->...", q, w, np.abs(signal) ** 2)
 
 
 def ball_convolve_axisym(f, h):
     """Convolution against an axisymmetric kernel, in coefficient space."""
-    fv = _coeff_array(f)
-    hv = _coeff_array(h)
+    fv = np.asarray(f)
+    hv = np.asarray(h)
     if fv.shape != hv.shape:
         raise ValueError("band-limits of f and h do not match")
-    L = int(np.sqrt(fv.shape[-1]))
+    L = sht.packed_bandlimit(fv.shape[-1])
     ell, m = sht._lm_arrays(L)
     if np.any(np.abs(hv[..., m != 0]) > 0):
         raise ValueError("kernel is not axisymmetric: nonzero coefficients at m != 0")
     h_ell = hv[..., ell * ell + ell]
-    out = sqrt4pi_factor(L) * fv * np.conj(h_ell)
-    if isinstance(f, FlagCoeffs):
-        return FlagCoeffs(L=f.L, P=f.P, values=out, real=False)
-    return out
+    return sqrt4pi_factor(L) * fv * np.conj(h_ell)
 
 
 def random_coeffs(L, P, seed, real=False):
@@ -310,9 +301,8 @@ class FourierBesselTable:
 
 def fourier_bessel(bridge, coeffs, ks):
     """Fourier-Bessel coefficients sqrt(2/pi) sum_p f[p, lm] j_lp(k)."""
-    fv = _coeff_array(coeffs)
-    P, n_lm = fv.shape[-2], fv.shape[-1]
-    L = int(np.sqrt(n_lm))
+    fv = np.asarray(coeffs)
+    P, L = fv.shape[-2], sht.packed_bandlimit(fv.shape[-1])
     if P > bridge.P or L > bridge.L:
         raise ValueError("coefficient band-limits exceed bridge tables")
     ks = np.atleast_1d(np.asarray(ks, dtype=float))

@@ -30,18 +30,12 @@ def _cached_scheme(L, P, tau):
     return flag.build_ball_scheme(L, P, tau)
 
 
-def scale_bandlimits(params, j, jp):
-    """Band-limits (Lj, Pjp) of scale (j, jp): its kernel vanishes at l >= Lj
-    and at p >= Pjp."""
-    return tiling.kernel_bandlimits(params, j, jp)
-
-
 def scale_scheme(scheme, params, j, jp, multires):
     """Scheme that scale (j, jp) is sampled on: its reduced one when multires
     is set, the full one otherwise."""
     if not multires:
         return scheme
-    Lj, Pjp = scale_bandlimits(params, j, jp)
+    Lj, Pjp = tiling.kernel_bandlimits(params, j, jp)
     return _cached_scheme(Lj, Pjp, scheme.tau)
 
 
@@ -104,7 +98,7 @@ def _analysis(scheme, f, kernels, multires, real):
     scaling = sampled(scheme, w_phi, "scaling coefficients")
     wavelets = {}
     for j, jp in prm.scales:
-        Lj, Pjp = scale_bandlimits(prm, j, jp)
+        Lj, Pjp = tiling.kernel_bandlimits(prm, j, jp)
         sub = scale_scheme(scheme, prm, j, jp, multires)
         psi = _packed_kernel(kernels.psi_scale(j, jp), Lj, Pjp)
         w = fac[None, : Lj * Lj] * f[:Pjp, : Lj * Lj] * psi
@@ -119,10 +113,10 @@ def analysis_from_coeffs(scheme, f, kernels, multires=False):
 
 
 def flaglet_analysis(scheme, signal, kernels, multires=False):
-    """Decompose a band-limited ball signal into wavelet and scaling parts."""
-    vals = signal.values if isinstance(signal, flag.BallSignal) else np.asarray(signal)
-    f = flag.flag_analysis(scheme, vals)
-    return _analysis(scheme, f, kernels, multires, real=not np.iscomplexobj(vals))
+    """Decompose a band-limited ball signal (P, n_theta, n_phi) into wavelet
+    and scaling parts."""
+    f = flag.flag_analysis(scheme, signal)
+    return _analysis(scheme, f, kernels, multires, real=not np.iscomplexobj(signal))
 
 
 def synthesis_to_coeffs(coeffs, kernels, scheme):
@@ -135,7 +129,7 @@ def synthesis_to_coeffs(coeffs, kernels, scheme):
     acc = fac[None, :] * g * _packed_kernel(kernels.phi, scheme.L, scheme.P)
     for j, jp in kernels.params.scales:
         w = coeffs.wavelets[(j, jp)]
-        Lj, Pjp = scale_bandlimits(kernels.params, j, jp)
+        Lj, Pjp = tiling.kernel_bandlimits(kernels.params, j, jp)
         g = flag.flag_analysis(w.scheme, w.values, (Lj, Pjp))
         psi = _packed_kernel(kernels.psi_scale(j, jp), Lj, Pjp)
         acc[:Pjp, : Lj * Lj] += fac[None, : Lj * Lj] * g * psi

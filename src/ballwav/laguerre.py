@@ -10,6 +10,9 @@ All heavy lifting runs on the normalized damped polynomials
 
 which stay O(1) on the node range for any P, so nothing here materializes
 exp(x_i) or factorials. K_p(r) = tau^(-3/2) * Khat_p(r/tau).
+
+Transforms are array-in, array-out: samples and coefficients run along the
+last axis. The wrapper types that carry band-limits live in flag.
 """
 
 from __future__ import annotations
@@ -149,18 +152,6 @@ class RadialScheme:
         return self.tau**3 * np.exp(self.log_weights)
 
 
-@dataclass(frozen=True)
-class RadialCoeffs:
-    P: int
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
-class RadialSamples:
-    scheme: RadialScheme
-    values: np.ndarray
-
-
 def build_radial_scheme(P, tau=1.0):
     """Construct the P-node radial scheme with scale factor tau."""
     if P < 1:
@@ -210,20 +201,25 @@ def synthesis_matrix(scheme, radii):
     return (scheme.tau**-1.5 * _khat_table(scheme.P, radii / scheme.tau)).T
 
 
+def _last_axis(values, what):
+    """values as an array with at least one axis, the last one running over p."""
+    vals = np.asarray(values)
+    if vals.ndim == 0:
+        raise ValueError("%s must have at least one axis" % what)
+    return vals
+
+
 def radial_analysis(scheme, samples):
     """Coefficients f_p from samples at the scheme nodes (exact if band-limited)."""
-    vals = samples.values if isinstance(samples, RadialSamples) else np.asarray(samples)
+    vals = _last_axis(samples, "samples")
     if vals.shape[-1] != scheme.P:
         raise ValueError("sample count does not match scheme node count")
-    out = vals @ scheme.weighted_basis.T
-    if isinstance(samples, RadialSamples):
-        return RadialCoeffs(P=scheme.P, values=out)
-    return out
+    return vals @ scheme.weighted_basis.T
 
 
 def radial_synthesis(scheme, coeffs, radii):
     """Evaluate f(r) = sum_p f_p K_p(r) at the requested radii."""
-    vals = coeffs.values if isinstance(coeffs, RadialCoeffs) else np.asarray(coeffs)
+    vals = _last_axis(coeffs, "coefficients")
     if vals.shape[-1] > scheme.P:
         raise ValueError("coefficient band-limit exceeds scheme")
     S = synthesis_matrix(scheme, radii)
@@ -234,9 +230,6 @@ def radial_translate(scheme, coeffs, r):
     """Translation by r in coefficient space: out_p = f_p * K_p(r)."""
     if r < 0:
         raise ValueError("radius must be nonnegative")
-    vals = coeffs.values if isinstance(coeffs, RadialCoeffs) else np.asarray(coeffs)
+    vals = _last_axis(coeffs, "coefficients")
     diag = scheme.tau**-1.5 * _khat_table(vals.shape[-1], np.array([r / scheme.tau]))[:, 0]
-    out = vals * diag
-    if isinstance(coeffs, RadialCoeffs):
-        return RadialCoeffs(P=coeffs.P, values=out)
-    return out
+    return vals * diag

@@ -37,6 +37,14 @@ def lm_index(ell, m):
     return ell * ell + ell + m
 
 
+def packed_bandlimit(n):
+    """Band-limit L of a packed (l, m) axis of length n = L*L."""
+    L = int(np.sqrt(n))
+    if L * L != n:
+        raise ValueError("packed (l, m) length %d is not a square" % n)
+    return L
+
+
 def _lm_arrays(L):
     idx = np.arange(L * L)
     ell = np.floor(np.sqrt(idx)).astype(np.int64)
@@ -143,7 +151,7 @@ def sht_forward(scheme, samples, Lc=None):
     to -(L-1). With an output band-limit Lc < L only the coefficients l < Lc
     are computed, from the 2Lc-1 bins and the table rows m, l < Lc they need.
     """
-    vals = samples.values if hasattr(samples, "values") else np.asarray(samples)
+    vals = np.asarray(samples)
     if vals.shape[-2:] != scheme.grid_shape:
         raise ValueError("grid shape does not match scheme")
     L = scheme.L
@@ -176,9 +184,7 @@ def sht_inverse(scheme, coeffs):
     |m| >= Lc are set to zero.
     """
     vals = np.asarray(coeffs)
-    Lc = int(np.sqrt(vals.shape[-1]))
-    if Lc * Lc != vals.shape[-1]:
-        raise ValueError("coefficient vector length must be a square")
+    Lc = packed_bandlimit(vals.shape[-1])
     if not 1 <= Lc <= scheme.L:
         raise ValueError("coefficient band-limit %d not in 1..%d" % (Lc, scheme.L))
     F, plm = scheme.n_phi, scheme._plm[:Lc, :Lc]
@@ -214,6 +220,5 @@ def ylm_point(L, theta, phi):
 
 def sph_parseval_energy(scheme, samples):
     """Quadrature evaluation of integral |f|^2 dOmega on the scheme grid."""
-    vals = samples.values if hasattr(samples, "values") else np.asarray(samples)
     w = scheme.theta_weights * (2.0 * np.pi / scheme.n_phi)
-    return np.einsum("t,...tp->...", w, np.abs(vals) ** 2)
+    return np.einsum("t,...tp->...", w, np.abs(samples) ** 2)

@@ -12,16 +12,17 @@ from ballwav import ballfile, denoise, flag, flaglet, tiling
 def _wavelet_set(multires, real=False):
     scheme = flag.build_ball_scheme(8, 8)
     kern = tiling.build_tiling(tiling.make_tiling_params(2.0, 2.0, 8, 8))
-    f = flag.random_coeffs(8, 8, seed=6, real=real)
+    f = flag.random_coeffs(8, 8, seed=6, real=real).values
     sig = flag.flag_synthesis(scheme, f)
-    vals = sig.values.real if real else sig.values
+    vals = sig.real if real else sig
     return scheme, kern, flaglet.flaglet_analysis(scheme, vals, kern,
                                                   multires=multires)
 
 
 def test_samples_round_trip_bytes_identical(tmp_path):
     scheme = flag.build_ball_scheme(6, 5, tau=0.7)
-    sig = flag.flag_synthesis(scheme, flag.random_coeffs(6, 5, seed=0))
+    sig = flag.BallSignal(scheme=scheme, values=flag.flag_synthesis(
+        scheme, flag.random_coeffs(6, 5, seed=0).values))
     bf = ballfile.pack_samples(sig)
     data = ballfile.to_bytes(bf)
     back = ballfile.from_bytes(data)
@@ -36,9 +37,9 @@ def test_samples_round_trip_bytes_identical(tmp_path):
 
 def test_real_samples_round_trip(tmp_path):
     scheme = flag.build_ball_scheme(4, 4)
-    f = flag.random_coeffs(4, 4, seed=1, real=True)
+    f = flag.random_coeffs(4, 4, seed=1, real=True).values
     sig = flag.flag_synthesis(scheme, f)
-    real_sig = flag.BallSignal(scheme=scheme, values=sig.values.real)
+    real_sig = flag.BallSignal(scheme=scheme, values=sig.real)
     bf = ballfile.pack_samples(real_sig)
     assert not bf.complex_payload
     back = ballfile.from_bytes(ballfile.to_bytes(bf))
@@ -145,7 +146,8 @@ def test_truncated_and_trailing_bytes_rejected():
 
 def test_unpack_grid_shape_validation():
     scheme = flag.build_ball_scheme(4, 4)
-    sig = flag.flag_synthesis(scheme, flag.random_coeffs(4, 4, seed=4))
+    sig = flag.BallSignal(scheme=scheme, values=flag.flag_synthesis(
+        scheme, flag.random_coeffs(4, 4, seed=4).values))
     bf = ballfile.pack_samples(sig)
     wrong = ballfile.BallFile(kind=bf.kind, L=8, P=bf.P, tau=bf.tau,
                               complex_payload=bf.complex_payload,
@@ -191,14 +193,15 @@ def test_write_is_deterministic(tmp_path):
 def _small_wavelet_bytes():
     scheme = flag.build_ball_scheme(4, 4)
     kern = tiling.build_tiling(tiling.make_tiling_params(2.0, 2.0, 4, 4))
-    sig = flag.flag_synthesis(scheme, flag.random_coeffs(4, 4, seed=8, real=True))
-    w = flaglet.flaglet_analysis(scheme, sig.values.real, kern, multires=True)
+    sig = flag.flag_synthesis(scheme, flag.random_coeffs(4, 4, seed=8, real=True).values)
+    w = flaglet.flaglet_analysis(scheme, sig.real, kern, multires=True)
     return ballfile.to_bytes(ballfile.pack_wavelets(w))
 
 
 def _sample_bytes():
     scheme = flag.build_ball_scheme(3, 2)
-    sig = flag.flag_synthesis(scheme, flag.random_coeffs(3, 2, seed=9))
+    sig = flag.BallSignal(scheme=scheme, values=flag.flag_synthesis(
+        scheme, flag.random_coeffs(3, 2, seed=9).values))
     return ballfile.to_bytes(ballfile.pack_samples(sig))
 
 

@@ -116,8 +116,8 @@ def test_denoise_zero_sigma_passthrough(tmp_path, capsys):
 
 def test_denoise_samples_input_round_trips_kind(tmp_path, capsys):
     scheme = flag.build_ball_scheme(16, 16)
-    f = flag.random_coeffs(16, 16, seed=0, real=True)
-    sig = flag.flag_synthesis(scheme, f)
+    f = flag.random_coeffs(16, 16, seed=0, real=True).values
+    sig = flag.BallSignal(scheme=scheme, values=flag.flag_synthesis(scheme, f))
     src = tmp_path / "grid.flb"
     ballfile.write_ballfile(src, ballfile.pack_samples(sig))
     out = tmp_path / "den.flb"
