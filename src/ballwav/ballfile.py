@@ -210,20 +210,17 @@ def unpack_coeffs(bf):
     return flag.FlagCoeffs(L=bf.L, P=bf.P, values=bf.coeffs), bf.tau
 
 
-def pack_wavelets(ws):
-    scheme = ws.scaling.scheme
-    cplx = np.iscomplexobj(ws.scaling.values) or any(
-        np.iscomplexobj(w.values) for w in ws.wavelets.values())
+def pack_wavelets(ws, tau):
+    cplx = any(map(np.iscomplexobj, [ws.scaling, *ws.wavelets.values()]))
     return BallFile(kind=KIND_WAVELETS, L=ws.params.L, P=ws.params.P,
-                    tau=scheme.tau, complex_payload=cplx,
+                    tau=float(tau), complex_payload=cplx,
                     lam=ws.params.lam, nu=ws.params.nu,
                     J0=ws.params.J0, J0p=ws.params.J0p, multires=ws.multires,
-                    scaling=ws.scaling.values,
-                    wavelets={k: w.values for k, w in ws.wavelets.items()})
+                    scaling=ws.scaling, wavelets=dict(ws.wavelets))
 
 
 def unpack_wavelets(bf):
-    from . import flag, flaglet, tiling
+    from . import flaglet, tiling
 
     if bf.kind != KIND_WAVELETS:
         raise BallFileError("not a wavelet-set file")
@@ -237,12 +234,10 @@ def unpack_wavelets(bf):
     full = flaglet._cached_scheme(bf.L, bf.P, bf.tau)
     if bf.scaling.shape != full.grid_shape:
         raise BallFileError("scaling grid does not match band-limits")
-    wavelets = {}
     for (j, jp), arr in bf.wavelets.items():
         sub = flaglet.scale_scheme(full, params, j, jp, bf.multires)
         if arr.shape != sub.grid_shape:
             raise BallFileError("scale (%d,%d) grid mismatch" % (j, jp))
-        wavelets[(j, jp)] = flag.BallSignal(scheme=sub, values=arr)
-    scaling = flag.BallSignal(scheme=full, values=bf.scaling)
-    return flaglet.WaveletCoeffSet(params=params, scaling=scaling,
-                                   wavelets=wavelets, multires=bf.multires)
+    ws = flaglet.WaveletCoeffSet(params=params, scaling=bf.scaling,
+                                 wavelets=dict(bf.wavelets), multires=bf.multires)
+    return ws, bf.tau

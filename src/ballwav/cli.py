@@ -38,64 +38,65 @@ class BenchRecord:
             self.t_analysis_s, self.t_c_s, self.epsilon_max)
 
 
-def _record(L, P, n_samples, t_syn, t_ana, eps):
-    return BenchRecord(L=L, P=P, N_samples=n_samples, t_synthesis_s=t_syn,
+def _record(scheme, t_syn, t_ana, eps):
+    n = scheme.P * scheme.angular.n_theta * scheme.angular.n_phi
+    return BenchRecord(L=scheme.L, P=scheme.P, N_samples=n, t_synthesis_s=t_syn,
                        t_analysis_s=t_ana, t_c_s=0.5 * (t_syn + t_ana),
                        epsilon_max=eps)
 
 
+def _time_pair(prepare, first, second, to_coeffs, seed, reps):
+    """Mean seconds of first and of second over reps inputs after an untimed
+    warm-up, and the worst round-trip error. prepare(s) gives an input and
+    its coefficients; it and the error check stay outside the timer."""
+    import numpy as np
+
+    second(first(prepare(seed + 10**6)[0]))
+    t_first = t_second = eps = 0.0
+    for rep in range(reps):
+        x, f = prepare(seed + rep)
+        t0 = time.perf_counter()
+        y = first(x)
+        t1 = time.perf_counter()
+        out = second(y)
+        t2 = time.perf_counter()
+        t_first += t1 - t0
+        t_second += t2 - t1
+        eps = max(eps, float(np.max(np.abs(to_coeffs(out) - f))))
+    return t_first / reps, t_second / reps, eps
+
+
 def time_flag_roundtrip(L, P, tau=1.0, seed=0, reps=1):
     """BenchRecord for the harmonic transform pair, setup excluded."""
-    import numpy as np
     from . import flag
 
     scheme = flag.build_ball_scheme(L, P, tau)
-    warm = flag.random_coeffs(L, P, seed + 10**6).values
-    flag.flag_analysis(scheme, flag.flag_synthesis(scheme, warm))
-    t_syn = t_ana = 0.0
-    eps = 0.0
-    for rep in range(reps):
-        f = flag.random_coeffs(L, P, seed + rep).values
-        t0 = time.perf_counter()
-        sig = flag.flag_synthesis(scheme, f)
-        t1 = time.perf_counter()
-        rec = flag.flag_analysis(scheme, sig)
-        t2 = time.perf_counter()
-        t_syn += t1 - t0
-        t_ana += t2 - t1
-        eps = max(eps, float(np.max(np.abs(rec - f))))
-    n = P * scheme.angular.n_theta * scheme.angular.n_phi
-    return _record(L, P, n, t_syn / reps, t_ana / reps, eps)
+    t_syn, t_ana, eps = _time_pair(
+        lambda s: (flag.random_coeffs(L, P, s).values,) * 2,
+        lambda f: flag.flag_synthesis(scheme, f),
+        lambda sig: flag.flag_analysis(scheme, sig), lambda f: f, seed, reps)
+    return _record(scheme, t_syn, t_ana, eps)
 
 
 def time_flaglet_roundtrip(L, P, tau=1.0, seed=0, reps=1, multires=False,
                            lam=2.0, nu=2.0, J0=0, J0p=0):
     """BenchRecord for the wavelet transform pair; signal prep not timed."""
-    import numpy as np
     from . import flag, flaglet, tiling
 
     scheme = flag.build_ball_scheme(L, P, tau)
     kernels = tiling.build_tiling(tiling.make_tiling_params(lam, nu, L, P,
                                                             J0=J0, J0p=J0p))
-    warm = flag.flag_synthesis(scheme, flag.random_coeffs(L, P, seed + 10**6).values)
-    flaglet.flaglet_synthesis(
-        flaglet.flaglet_analysis(scheme, warm, kernels, multires=multires),
-        kernels, scheme)
-    t_syn = t_ana = 0.0
-    eps = 0.0
-    for rep in range(reps):
-        f = flag.random_coeffs(L, P, seed + rep).values
-        sig = flag.flag_synthesis(scheme, f)
-        t0 = time.perf_counter()
-        ws = flaglet.flaglet_analysis(scheme, sig, kernels, multires=multires)
-        t1 = time.perf_counter()
-        rec = flaglet.flaglet_synthesis(ws, kernels, scheme)
-        t2 = time.perf_counter()
-        t_ana += t1 - t0
-        t_syn += t2 - t1
-        eps = max(eps, float(np.max(np.abs(flag.flag_analysis(scheme, rec.values) - f))))
-    n = P * scheme.angular.n_theta * scheme.angular.n_phi
-    return _record(L, P, n, t_syn / reps, t_ana / reps, eps)
+
+    def prepare(s):
+        f = flag.random_coeffs(L, P, s).values
+        return flag.flag_synthesis(scheme, f), f
+
+    t_ana, t_syn, eps = _time_pair(
+        prepare,
+        lambda sig: flaglet.flaglet_analysis(scheme, sig, kernels, multires=multires),
+        lambda ws: flaglet.flaglet_synthesis(ws, kernels, scheme),
+        lambda rec: flag.flag_analysis(scheme, rec.values), seed, reps)
+    return _record(scheme, t_syn, t_ana, eps)
 
 
 def fit_loglog_slope(sizes, times):

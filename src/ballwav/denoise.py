@@ -100,11 +100,10 @@ def hard_threshold(coeffs, plan):
     wavelets = {}
     for key, w in coeffs.wavelets.items():
         prof = plan.profiles[key]
-        if prof.shape != (w.scheme.P,):
+        if prof.shape != w.shape[:1]:
             raise ValueError("profile length does not match scale %s" % (key,))
         cut = plan.multiplier * prof[:, None, None]
-        kept = np.where(np.abs(w.values) < cut, 0.0, w.values)
-        wavelets[key] = flag.BallSignal(scheme=w.scheme, values=kept)
+        wavelets[key] = np.where(np.abs(w) < cut, 0.0, w)
     return flaglet.WaveletCoeffSet(params=coeffs.params, scaling=coeffs.scaling,
                                    wavelets=wavelets, multires=coeffs.multires)
 

@@ -138,7 +138,7 @@ def ball_convolve_axisym(f, h):
     hv = np.asarray(h)
     if fv.shape != hv.shape:
         raise ValueError("band-limits of f and h do not match")
-    L = sht.packed_bandlimit(fv.shape[-1])
+    L = sht.packed_bandlimit(fv)
     ell, m = sht._lm_arrays(L)
     if np.any(np.abs(hv[..., m != 0]) > 0):
         raise ValueError("kernel is not axisymmetric: nonzero coefficients at m != 0")
@@ -302,7 +302,9 @@ class FourierBesselTable:
 def fourier_bessel(bridge, coeffs, ks):
     """Fourier-Bessel coefficients sqrt(2/pi) sum_p f[p, lm] j_lp(k)."""
     fv = np.asarray(coeffs)
-    P, L = fv.shape[-2], sht.packed_bandlimit(fv.shape[-1])
+    if fv.ndim != 2:
+        raise ValueError("coefficients must have shape (P, L*L)")
+    P, L = fv.shape[0], sht.packed_bandlimit(fv)
     if P > bridge.P or L > bridge.L:
         raise ValueError("coefficient band-limits exceed bridge tables")
     ks = np.atleast_1d(np.asarray(ks, dtype=float))

@@ -6,7 +6,8 @@ outside its band-limits (Lj, Pjp), so in both modes a scale's coefficient
 block and its transforms work at (Lj, Pjp). Only the sampling differs: in
 multiresolution mode a scale is sampled on its own (Lj, Pjp) grid, which is
 lossless, and at full resolution on the full grid. The scaling part always
-stays at full resolution. The frame is tight, so synthesis is the adjoint
+stays at full resolution. Every part is a plain array; scale_scheme alone
+decides a part's grid. The frame is tight, so synthesis is the adjoint
 accumulation and the round trip is exact for band-limited signals.
 
 The transform splits at the coefficient boundary: analysis_from_coeffs maps
@@ -57,14 +58,15 @@ def _to_real(values, what):
 
 @dataclass(frozen=True)
 class WaveletCoeffSet:
-    """Scaling signal plus one ball signal per wavelet scale.
+    """Scaling samples on the full grid plus one sample array per scale.
 
-    wavelets maps (j, jp) to a BallSignal whose scheme is the reduced one
-    when multires is set, the full one otherwise.
+    wavelets maps (j, jp) to an array on the grid of
+    scale_scheme(scheme, params, j, jp, multires): the reduced one when
+    multires is set, the full one otherwise.
     """
 
     params: tiling.TilingParams
-    scaling: flag.BallSignal
+    scaling: np.ndarray
     wavelets: dict
     multires: bool
 
@@ -90,9 +92,7 @@ def _analysis(scheme, f, kernels, multires, real):
 
     def sampled(sub, w, what):
         values = flag.flag_synthesis(sub, w)
-        if real:
-            values = _to_real(values, what)
-        return flag.BallSignal(scheme=sub, values=values)
+        return _to_real(values, what) if real else values
 
     w_phi = fac[None, :] * f * _packed_kernel(kernels.phi, scheme.L, scheme.P)
     scaling = sampled(scheme, w_phi, "scaling coefficients")
@@ -125,12 +125,12 @@ def synthesis_to_coeffs(coeffs, kernels, scheme):
     if coeffs.params != kernels.params:
         raise ValueError("coefficient set was built with different tiling params")
     fac = flag.sqrt4pi_factor(scheme.L)
-    g = flag.flag_analysis(scheme, coeffs.scaling.values)
+    g = flag.flag_analysis(scheme, coeffs.scaling)
     acc = fac[None, :] * g * _packed_kernel(kernels.phi, scheme.L, scheme.P)
     for j, jp in kernels.params.scales:
-        w = coeffs.wavelets[(j, jp)]
         Lj, Pjp = tiling.kernel_bandlimits(kernels.params, j, jp)
-        g = flag.flag_analysis(w.scheme, w.values, (Lj, Pjp))
+        sub = scale_scheme(scheme, kernels.params, j, jp, coeffs.multires)
+        g = flag.flag_analysis(sub, coeffs.wavelets[(j, jp)], (Lj, Pjp))
         psi = _packed_kernel(kernels.psi_scale(j, jp), Lj, Pjp)
         acc[:Pjp, : Lj * Lj] += fac[None, : Lj * Lj] * g * psi
     return acc
@@ -139,7 +139,6 @@ def synthesis_to_coeffs(coeffs, kernels, scheme):
 def flaglet_synthesis(coeffs, kernels, scheme):
     """Reconstruct the ball signal from a WaveletCoeffSet (exact round trip)."""
     out = flag.flag_synthesis(scheme, synthesis_to_coeffs(coeffs, kernels, scheme))
-    parts = [coeffs.scaling] + list(coeffs.wavelets.values())
-    if not any(np.iscomplexobj(w.values) for w in parts):
+    if not any(map(np.iscomplexobj, [coeffs.scaling, *coeffs.wavelets.values()])):
         out = _to_real(out, "reconstruction")
     return flag.BallSignal(scheme=scheme, values=out)

@@ -37,8 +37,11 @@ def lm_index(ell, m):
     return ell * ell + ell + m
 
 
-def packed_bandlimit(n):
-    """Band-limit L of a packed (l, m) axis of length n = L*L."""
+def packed_bandlimit(vals):
+    """Band-limit L of the packed (l, m) last axis of vals, of length L*L."""
+    if vals.ndim < 1:
+        raise ValueError("coefficients must have shape (..., L*L)")
+    n = vals.shape[-1]
     L = int(np.sqrt(n))
     if L * L != n:
         raise ValueError("packed (l, m) length %d is not a square" % n)
@@ -184,7 +187,7 @@ def sht_inverse(scheme, coeffs):
     |m| >= Lc are set to zero.
     """
     vals = np.asarray(coeffs)
-    Lc = packed_bandlimit(vals.shape[-1])
+    Lc = packed_bandlimit(vals)
     if not 1 <= Lc <= scheme.L:
         raise ValueError("coefficient band-limit %d not in 1..%d" % (Lc, scheme.L))
     F, plm = scheme.n_phi, scheme._plm[:Lc, :Lc]

@@ -9,8 +9,8 @@ from hypothesis.extra import numpy as hnp
 from ballwav import ballfile, denoise, flag, flaglet, tiling
 
 
-def _wavelet_set(multires, real=False):
-    scheme = flag.build_ball_scheme(8, 8)
+def _wavelet_set(multires, real=False, tau=1.0):
+    scheme = flag.build_ball_scheme(8, 8, tau)
     kern = tiling.build_tiling(tiling.make_tiling_params(2.0, 2.0, 8, 8))
     f = flag.random_coeffs(8, 8, seed=6, real=real).values
     sig = flag.flag_synthesis(scheme, f)
@@ -62,16 +62,16 @@ def test_coeffs_round_trip(tmp_path):
 @pytest.mark.parametrize("multires", [False, True])
 def test_wavelet_set_round_trip(multires, tmp_path):
     scheme, kern, w = _wavelet_set(multires)
-    bf = ballfile.pack_wavelets(w)
+    bf = ballfile.pack_wavelets(w, scheme.tau)
     data = ballfile.to_bytes(bf)
     back = ballfile.from_bytes(data)
     assert ballfile.to_bytes(back) == data
-    w2 = ballfile.unpack_wavelets(back)
+    w2, _ = ballfile.unpack_wavelets(back)
     assert w2.multires == multires
     assert w2.params == w.params
-    assert np.array_equal(w2.scaling.values, w.scaling.values)
+    assert np.array_equal(w2.scaling, w.scaling)
     for key in w.wavelets:
-        assert np.array_equal(w2.wavelets[key].values, w.wavelets[key].values)
+        assert np.array_equal(w2.wavelets[key], w.wavelets[key])
     # reconstruction from the reloaded set matches
     r1 = flaglet.flaglet_synthesis(w, kern, scheme)
     r2 = flaglet.flaglet_synthesis(w2, kern, scheme)
@@ -79,12 +79,12 @@ def test_wavelet_set_round_trip(multires, tmp_path):
 
 
 def test_real_wavelet_set_payload_flag():
-    _, _, w = _wavelet_set(True, real=True)
-    bf = ballfile.pack_wavelets(w)
+    scheme, _, w = _wavelet_set(True, real=True)
+    bf = ballfile.pack_wavelets(w, scheme.tau)
     assert not bf.complex_payload
     back = ballfile.from_bytes(ballfile.to_bytes(bf))
-    w2 = ballfile.unpack_wavelets(back)
-    assert w2.scaling.values.dtype == np.float64
+    w2, _ = ballfile.unpack_wavelets(back)
+    assert w2.scaling.dtype == np.float64
 
 
 @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 4),
@@ -159,8 +159,8 @@ def test_unpack_grid_shape_validation():
 
 
 def test_unpack_wavelets_header_validation():
-    _, _, w = _wavelet_set(True)
-    bf = ballfile.pack_wavelets(w)
+    scheme, _, w = _wavelet_set(True)
+    bf = ballfile.pack_wavelets(w, scheme.tau)
     # drop one scale: the list no longer matches the tiling header
     short = dict(bf.wavelets)
     short.pop(sorted(short)[0])
@@ -181,9 +181,25 @@ def test_unpack_wavelets_header_validation():
         ballfile.unpack_wavelets(ballfile.from_bytes(ballfile.to_bytes(bad2)))
 
 
+def test_unpack_wavelets_returns_packed_tau():
+    _, _, w = _wavelet_set(True, tau=0.7)
+    back = ballfile.from_bytes(ballfile.to_bytes(ballfile.pack_wavelets(w, 0.7)))
+    _, tau = ballfile.unpack_wavelets(back)
+    assert tau == 0.7
+
+
+def test_unpack_wavelets_rejects_part_on_wrong_grid():
+    # a full-grid part in a multires set: scale_scheme says it is too large
+    scheme, _, w = _wavelet_set(True)
+    bf = ballfile.pack_wavelets(w, scheme.tau)
+    bf.wavelets[(1, 1)] = np.zeros(scheme.grid_shape, dtype=complex)
+    with pytest.raises(ballfile.BallFileError, match="grid mismatch"):
+        ballfile.unpack_wavelets(ballfile.from_bytes(ballfile.to_bytes(bf)))
+
+
 def test_write_is_deterministic(tmp_path):
-    _, _, w = _wavelet_set(False)
-    bf = ballfile.pack_wavelets(w)
+    scheme, _, w = _wavelet_set(False)
+    bf = ballfile.pack_wavelets(w, scheme.tau)
     p1, p2 = tmp_path / "a.flb", tmp_path / "b.flb"
     ballfile.write_ballfile(p1, bf)
     ballfile.write_ballfile(p2, bf)
@@ -195,7 +211,7 @@ def _small_wavelet_bytes():
     kern = tiling.build_tiling(tiling.make_tiling_params(2.0, 2.0, 4, 4))
     sig = flag.flag_synthesis(scheme, flag.random_coeffs(4, 4, seed=8, real=True).values)
     w = flaglet.flaglet_analysis(scheme, sig.real, kern, multires=True)
-    return ballfile.to_bytes(ballfile.pack_wavelets(w))
+    return ballfile.to_bytes(ballfile.pack_wavelets(w, scheme.tau))
 
 
 def _sample_bytes():

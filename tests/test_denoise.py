@@ -95,7 +95,7 @@ def test_predict_sigma_variance_matches_monte_carlo():
         grid = flag.flag_synthesis(scheme, n.values)
         w = flaglet.flaglet_analysis(scheme, grid, kern, multires=False)
         for key in acc:
-            acc[key].append(w.wavelets[key].values)
+            acc[key].append(w.wavelets[key])
     for key, prof in plan.profiles.items():
         stack = np.stack(acc[key])
         std = np.sqrt(np.mean(np.abs(stack) ** 2, axis=(0, 2, 3)))
@@ -116,22 +116,22 @@ def test_hard_threshold_behaviour():
     plan0 = denoise.predict_sigma(kern, denoise.NoiseModel(0.0, L, P, 0), scheme)
     kept0 = denoise.hard_threshold(w, plan0)
     for key in w.wavelets:
-        np.testing.assert_array_equal(kept0.wavelets[key].values,
-                                      w.wavelets[key].values)
+        np.testing.assert_array_equal(kept0.wavelets[key],
+                                      w.wavelets[key])
 
     # a huge multiplier kills every wavelet sample but leaves scaling alone
     plan_huge = denoise.ThresholdPlan(profiles=plan.profiles, multiplier=1e12,
                                       multires=True)
     killed = denoise.hard_threshold(w, plan_huge)
-    assert all(np.all(killed.wavelets[k].values == 0.0) for k in killed.wavelets)
-    np.testing.assert_array_equal(killed.scaling.values, w.scaling.values)
+    assert all(np.all(killed.wavelets[k] == 0.0) for k in killed.wavelets)
+    np.testing.assert_array_equal(killed.scaling, w.scaling)
 
     # thresholding twice changes nothing
     kept = denoise.hard_threshold(w, plan)
     again = denoise.hard_threshold(kept, plan)
     for key in kept.wavelets:
-        np.testing.assert_array_equal(again.wavelets[key].values,
-                                      kept.wavelets[key].values)
+        np.testing.assert_array_equal(again.wavelets[key],
+                                      kept.wavelets[key])
 
 
 def test_hard_threshold_keeps_exact_boundary_sample():
@@ -142,16 +142,15 @@ def test_hard_threshold_keeps_exact_boundary_sample():
     sig = flag.flag_synthesis(scheme, flag.random_coeffs(L, P, seed=1).values)
     w = flaglet.flaglet_analysis(scheme, sig, kern, multires=True)
     key = (1, 1)
-    sub = w.wavelets[key].scheme
-    profiles = {k: np.zeros(w.wavelets[k].scheme.P) for k in w.wavelets}
-    target = np.abs(w.wavelets[key].values[0, 0, 0])
+    profiles = {k: np.zeros(w.wavelets[k].shape[0]) for k in w.wavelets}
+    target = np.abs(w.wavelets[key][0, 0, 0])
     assert target > 0
     profiles[key][0] = target
     plan = denoise.ThresholdPlan(profiles=profiles, multiplier=1.0, multires=True)
     kept = denoise.hard_threshold(w, plan)
-    assert kept.wavelets[key].values[0, 0, 0] == w.wavelets[key].values[0, 0, 0]
-    below = np.abs(w.wavelets[key].values[0]) < target
-    assert np.all(kept.wavelets[key].values[0][below] == 0.0)
+    assert kept.wavelets[key][0, 0, 0] == w.wavelets[key][0, 0, 0]
+    below = np.abs(w.wavelets[key][0]) < target
+    assert np.all(kept.wavelets[key][0][below] == 0.0)
 
 
 def test_hard_threshold_validation():
@@ -253,3 +252,23 @@ def test_pipeline_reuses_cached_schemes(monkeypatch):
     calls.clear()
     denoise.denoise_pipeline(scheme, kern, clean, noisy, model, multires=False)
     assert calls == ["synthesis_matrix"]
+
+
+def test_hard_threshold_rejects_profile_off_the_part_grid():
+    # each profile must fit its part's radial axis: a full-resolution plan
+    # on a multires set, or a full-grid part in a multires set, fails
+    L = P = 8
+    kern = _kernels(L, P)
+    scheme = flag.build_ball_scheme(L, P)
+    sig = flag.flag_synthesis(scheme, flag.random_coeffs(L, P, seed=2).values)
+    w = flaglet.flaglet_analysis(scheme, sig, kern, multires=True)
+    model = denoise.NoiseModel(1.0, L, P, 0)
+    full = denoise.predict_sigma(kern, model, scheme, multires=False)
+    with pytest.raises(ValueError, match="profile length"):
+        denoise.hard_threshold(w, denoise.ThresholdPlan(profiles=full.profiles,
+                                                        multires=True))
+    plan = denoise.predict_sigma(kern, model, scheme, multires=True)
+    denoise.hard_threshold(w, plan)
+    w.wavelets[(1, 1)] = np.zeros(scheme.grid_shape, dtype=complex)
+    with pytest.raises(ValueError, match="profile length"):
+        denoise.hard_threshold(w, plan)

@@ -133,6 +133,18 @@ def test_packed_length_must_be_square(transform):
         transform(np.ones((3, 5), dtype=complex))
 
 
+@pytest.mark.parametrize("call", [
+    lambda: sht.sht_inverse(sht.build_angular_scheme(4), 3.0),
+    lambda: flag.ball_convolve_axisym(1.0, 1.0),
+    lambda: flag.fourier_bessel(flag.build_bessel_bridge(4, 4), 1.0, [1.0]),
+    lambda: flag.fourier_bessel(flag.build_bessel_bridge(4, 4), np.ones(4), [1.0]),
+], ids=["sht_inverse-0d", "ball_convolve_axisym-0d", "fourier_bessel-0d",
+        "fourier_bessel-1d"])
+def test_too_few_axes_is_a_value_error(call):
+    with pytest.raises(ValueError, match="must have shape"):
+        call()
+
+
 def test_real_coeffs_have_conjugate_symmetry():
     L, P = 7, 5
     f = flag.random_coeffs(L, P, seed=13, real=True)

@@ -22,10 +22,10 @@ def test_round_trip(multires):
     wc = flaglet.analysis_from_coeffs(scheme, f.values, kernels, multires=multires)
     assert np.max(np.abs(flaglet.synthesis_to_coeffs(wc, kernels, scheme)
                          - f.values)) < 1e-9
-    assert np.max(np.abs(wc.scaling.values - w.scaling.values)) < 1e-12
+    assert np.max(np.abs(wc.scaling - w.scaling)) < 1e-12
     for s in w.scales:
-        assert wc.wavelets[s].scheme == w.wavelets[s].scheme
-        assert np.max(np.abs(wc.wavelets[s].values - w.wavelets[s].values)) < 1e-12
+        assert wc.wavelets[s].shape == w.wavelets[s].shape
+        assert np.max(np.abs(wc.wavelets[s] - w.wavelets[s])) < 1e-12
 
 
 def test_multires_and_full_reconstructions_agree():
@@ -46,26 +46,25 @@ def test_multires_wavelet_upsamples_to_full_resolution():
     full = flaglet.flaglet_analysis(scheme, sig, kernels, multires=False)
     multi = flaglet.flaglet_analysis(scheme, sig, kernels, multires=True)
     for j, jp in multi.scales:
-        wm = multi.wavelets[(j, jp)]
-        sub = wm.scheme
-        g = flag.flag_analysis(sub, wm.values.astype(complex))
+        sub = flaglet.scale_scheme(scheme, kernels.params, j, jp, True)
+        g = flag.flag_analysis(sub, multi.wavelets[(j, jp)].astype(complex))
         padded = np.zeros((scheme.P, scheme.L * scheme.L), dtype=complex)
         ell, _ = sht._lm_arrays(sub.L)
         padded[: sub.P, : sub.L * sub.L] = g
         up = flag.flag_synthesis(scheme, padded)
-        assert np.max(np.abs(up - full.wavelets[(j, jp)].values)) < 1e-10
+        assert np.max(np.abs(up - full.wavelets[(j, jp)])) < 1e-10
 
 
 def test_reduced_grids_are_smaller():
     scheme, kernels = _setup()
     sig = flag.flag_synthesis(scheme, flag.random_coeffs(16, 16, seed=1).values)
     multi = flaglet.flaglet_analysis(scheme, sig, kernels, multires=True)
-    shapes = {s: multi.wavelets[s].values.shape for s in multi.scales}
+    shapes = {s: multi.wavelets[s].shape for s in multi.scales}
     assert shapes[(1, 1)] == (4, 4, 7)
     assert shapes[(4, 4)] == scheme.grid_shape
-    assert multi.scaling.values.shape == scheme.grid_shape
+    assert multi.scaling.shape == scheme.grid_shape
     full = flaglet.flaglet_analysis(scheme, sig, kernels, multires=False)
-    assert all(full.wavelets[s].values.shape == scheme.grid_shape
+    assert all(full.wavelets[s].shape == scheme.grid_shape
                for s in full.scales)
 
 
@@ -78,9 +77,9 @@ def test_tight_frame_energy():
     sig = flag.flag_synthesis(scheme, f.values)
     w = flaglet.flaglet_analysis(scheme, sig, kernels, multires=False)
     e_in = float(np.sum(np.abs(f.values) ** 2))
-    total = float(np.sum(np.abs(flag.flag_analysis(scheme, w.scaling.values)) ** 2))
+    total = float(np.sum(np.abs(flag.flag_analysis(scheme, w.scaling)) ** 2))
     for s in w.scales:
-        g = flag.flag_analysis(scheme, w.wavelets[s].values)
+        g = flag.flag_analysis(scheme, w.wavelets[s])
         total += float(np.sum(np.abs(g) ** 2))
     assert total == pytest.approx(e_in, rel=1e-9)
 
@@ -89,8 +88,8 @@ def test_zero_signal_maps_to_zero():
     scheme, kernels = _setup(L=8, P=8)
     zero = np.zeros(scheme.grid_shape)
     w = flaglet.flaglet_analysis(scheme, zero, kernels)
-    assert np.all(w.scaling.values == 0.0)
-    assert all(np.all(w.wavelets[s].values == 0.0) for s in w.scales)
+    assert np.all(w.scaling == 0.0)
+    assert all(np.all(w.wavelets[s] == 0.0) for s in w.scales)
     back = flaglet.flaglet_synthesis(w, kernels, scheme)
     assert np.all(back.values == 0.0)
 
@@ -103,8 +102,8 @@ def test_single_mode_lands_in_matching_scales():
     c[3, sht.lm_index(3, 0)] = 1.0
     sig = flag.flag_synthesis(scheme, c)
     w = flaglet.flaglet_analysis(scheme, sig, kernels, multires=False)
-    assert np.max(np.abs(w.scaling.values)) < 1e-14
-    hot = {s for s in w.scales if np.max(np.abs(w.wavelets[s].values)) > 1e-14}
+    assert np.max(np.abs(w.scaling)) < 1e-14
+    hot = {s for s in w.scales if np.max(np.abs(w.wavelets[s])) > 1e-14}
     assert hot == {(1, 1), (1, 2), (2, 1), (2, 2)}
 
 
@@ -117,10 +116,10 @@ def test_linearity():
     w2 = flaglet.flaglet_analysis(scheme, s2, kernels)
     w12 = flaglet.flaglet_analysis(scheme, a * s1 + b * s2, kernels)
     for s in w12.scales:
-        combo = a * w1.wavelets[s].values + b * w2.wavelets[s].values
-        assert np.max(np.abs(w12.wavelets[s].values - combo)) < 1e-12
-    combo0 = a * w1.scaling.values + b * w2.scaling.values
-    assert np.max(np.abs(w12.scaling.values - combo0)) < 1e-12
+        combo = a * w1.wavelets[s] + b * w2.wavelets[s]
+        assert np.max(np.abs(w12.wavelets[s] - combo)) < 1e-12
+    combo0 = a * w1.scaling + b * w2.scaling
+    assert np.max(np.abs(w12.scaling - combo0)) < 1e-12
 
 
 def test_real_input_yields_real_arrays():
@@ -129,14 +128,14 @@ def test_real_input_yields_real_arrays():
     sig = flag.flag_synthesis(scheme, f.values)
     real_grid = sig.real
     w = flaglet.flaglet_analysis(scheme, real_grid, kernels, multires=True)
-    assert w.scaling.values.dtype.kind == "f"
-    assert all(w.wavelets[s].values.dtype.kind == "f" for s in w.scales)
+    assert w.scaling.dtype.kind == "f"
+    assert all(w.wavelets[s].dtype.kind == "f" for s in w.scales)
     back = flaglet.flaglet_synthesis(w, kernels, scheme)
     assert back.values.dtype.kind == "f"
     assert np.max(np.abs(back.values - real_grid)) < 1e-9
     # complex input stays complex
     wc = flaglet.flaglet_analysis(scheme, sig, kernels)
-    assert wc.scaling.values.dtype.kind == "c"
+    assert wc.scaling.dtype.kind == "c"
 
 
 def test_band_limit_mismatch_raises():
@@ -173,4 +172,16 @@ def test_full_resolution_scale_matches_padded_synthesis(L, P, lam, nu):
         psi = flaglet._packed_kernel(kernels.psi_scale(j, jp), L, P)
         padded = fac[None, :] * f * psi
         ref = flag.flag_synthesis(scheme, padded)
-        assert np.max(np.abs(w.wavelets[(j, jp)].values - ref)) < 1e-12
+        assert np.max(np.abs(w.wavelets[(j, jp)] - ref)) < 1e-12
+
+
+def test_part_on_wrong_grid_raises():
+    # a multires set whose part sits on the full grid, not its scale's grid
+    scheme, kernels = _setup(L=8, P=8)
+    sig = flag.flag_synthesis(scheme, flag.random_coeffs(8, 8, seed=3).values)
+    w = flaglet.flaglet_analysis(scheme, sig, kernels, multires=True)
+    assert flaglet.scale_scheme(scheme, kernels.params, 1, 1, True).grid_shape \
+        != scheme.grid_shape
+    w.wavelets[(1, 1)] = np.zeros(scheme.grid_shape, dtype=complex)
+    with pytest.raises(ValueError):
+        flaglet.synthesis_to_coeffs(w, kernels, scheme)
