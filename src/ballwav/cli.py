@@ -179,7 +179,8 @@ def _load_clean_coeffs(path):
         signal = ballfile.unpack_samples(bf)
         scheme = signal.scheme
         coeffs = flag.FlagCoeffs(L=scheme.L, P=scheme.P,
-                                 values=flag.flag_analysis(scheme, signal.values))
+                                 values=flag.flag_analysis(scheme, signal.values),
+                                 real=not bf.complex_payload)
         return coeffs, scheme, bf.kind
     if bf.kind == ballfile.KIND_COEFFS:
         from . import flag, flaglet
@@ -206,14 +207,15 @@ def cmd_denoise(args):
             noise, alpha = denoise.scale_noise_to_snr(clean, noise, args.snr_in)
             sigma_eff = args.sigma * alpha
         noisy = flag.FlagCoeffs(L=scheme.L, P=scheme.P,
-                                values=clean.values + noise.values)
+                                values=clean.values + noise.values,
+                                real=clean.real and noise.real)
         model_eff = denoise.NoiseModel(sigma=sigma_eff, L=scheme.L, P=scheme.P,
                                        seed=args.seed)
         den, snr_in, snr_out = denoise.denoise_pipeline(
             scheme, kernels, clean, noisy, model_eff,
             multires=args.multires, multiplier=args.multiplier)
     if kind == ballfile.KIND_SAMPLES:
-        grid = flag.flag_synthesis(scheme, den.values)
+        grid = flag.flag_synthesis(scheme, den.values, real=den.real)
         out = ballfile.pack_samples(flag.BallSignal(scheme=scheme, values=grid))
     else:
         out = ballfile.pack_coeffs(den, scheme.tau)

@@ -168,14 +168,16 @@ def denoise_pipeline(scheme, kernels, clean, noisy, model, multires=True,
     The model's sigma must describe the noise actually present in noisy
     (after any rescaling) for the predicted levels to be meaningful. Only
     the thresholding step touches wavelet samples; the signal itself stays
-    in coefficient space.
+    in coefficient space. A real noisy signal (noisy.real, checked once)
+    runs on the real-signal path, and the denoised coefficients keep the
+    flag.
     """
     coeffs = flaglet.analysis_from_coeffs(scheme, noisy.values, kernels,
-                                          multires=multires)
+                                          multires=multires, real=noisy.real)
     plan = predict_sigma(kernels, model, scheme, multires=multires)
     plan = ThresholdPlan(profiles=plan.profiles, multiplier=multiplier,
                          multires=plan.multires)
     kept = hard_threshold(coeffs, plan)
     den = flaglet.synthesis_to_coeffs(kept, kernels, scheme)
-    return (flag.FlagCoeffs(L=scheme.L, P=scheme.P, values=den),
+    return (flag.FlagCoeffs(L=scheme.L, P=scheme.P, values=den, real=noisy.real),
             snr(clean.values, noisy.values), snr(clean.values, den))

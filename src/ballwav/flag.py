@@ -15,6 +15,12 @@ Transforms are array-in, array-out: samples (..., P, n_theta, n_phi) and
 coefficients (..., P, L*L). BallSignal and FlagCoeffs wrap arrays only at
 the edges that need their scheme or band-limits: ballfile, denoise and the
 flaglet coefficient set.
+
+Real signals take the real path of the spherical transform (see sht). As
+there, flag_analysis takes it for any float grid, and flag_synthesis when
+told real=True, which it checks once with sht.check_real and answers with a
+float grid. On that path the radial step is one float matmul too, on the
+real grid or on the (re, im) view of the coefficients.
 """
 
 from __future__ import annotations
@@ -87,7 +93,8 @@ def flag_analysis(scheme, signal, bandlimits=None):
     through untouched. Output band-limits (Lc, Pc) <= (L, P)
     return only the rows p < Pc and the coefficients l < Lc, computed at
     that cost: with Pc < P the radial step runs first, on the grid, so the
-    angular transform sees Pc rows instead of P.
+    angular transform sees Pc rows instead of P. A float grid takes the
+    real-signal path.
     """
     vals = np.asarray(signal)
     if vals.shape[-3:] != scheme.grid_shape:
@@ -96,6 +103,10 @@ def flag_analysis(scheme, signal, bandlimits=None):
     if not 1 <= Pc <= scheme.P:
         raise ValueError("output band-limit %r not in 1..%d" % (Pc, scheme.P))
     B = scheme.radial.weighted_basis
+    if not np.iscomplexobj(vals):
+        if Pc < scheme.P:
+            return sht.sht_forward(scheme.angular, _radial(B[:Pc], vals, -3), Lc)
+        return _radial(B, sht.sht_forward(scheme.angular, vals, Lc), -2)
     if Pc < scheme.P:
         rows = np.einsum("pi,...itk->...ptk", B[:Pc], vals)
         return sht.sht_forward(scheme.angular, rows, Lc)
@@ -103,26 +114,53 @@ def flag_analysis(scheme, signal, bandlimits=None):
     return np.einsum("pi,...il->...pl", B, shells)
 
 
-def flag_synthesis(scheme, coeffs):
+def flag_synthesis(scheme, coeffs, real=False):
     """Evaluate coefficients (..., Pc, Lc*Lc) with (Lc, Pc) <= (L, P) on the
     scheme grid (inverse of flag_analysis).
 
     With Pc < P the angular transform runs first, on the Pc rows, and the
-    radial step then maps them to the P nodes.
+    radial step then maps them to the P nodes. With real set the coefficients
+    must be those of a real signal (sht.check_real raises ArithmeticError
+    otherwise) and the grid is float.
     """
     vals = np.asarray(coeffs)
+    if real:
+        sht.check_real(vals)
+    return _synthesis(scheme, vals, real)
+
+
+def _synthesis(scheme, vals, real):
+    """flag_synthesis without the check of a real claim, for callers that
+    have checked it or derived it from a dtype."""
     if vals.ndim < 2:
         raise ValueError("coefficients must have shape (..., Pc, Lc*Lc)")
     Pc = vals.shape[-2]
     if Pc > scheme.P or vals.shape[-1] > scheme.L**2:
         raise ValueError("coefficient band-limits exceed scheme")
     S = scheme.radial.node_synthesis[:, :Pc]
+    if real:
+        if Pc < scheme.P:
+            return _radial(S, sht._inverse(scheme.angular, vals, True), -3)
+        return sht._inverse(scheme.angular, _radial(S, vals, -2), True)
     if Pc < scheme.P:
         rows = sht.sht_inverse(scheme.angular, vals)
         # contract (re, im) pairs so that the real S is not promoted to complex
         return np.einsum("ip,...ptk->...itk", S, rows.view(float)).view(complex)
     at_nodes = np.einsum("ip,...pl->...il", S, vals)
     return sht.sht_inverse(scheme.angular, at_nodes)
+
+
+def _radial(M, x, axis):
+    """Real matrix M applied along axis -2 (coefficients) or -3 (grid) of x,
+    as one float matmul: complex x goes through its (re, im) view, so M is
+    never promoted to complex."""
+    x = np.ascontiguousarray(x)
+    cplx = np.iscomplexobj(x)
+    flat = x.reshape(x.shape[:axis + 1] + (-1,))
+    out = M @ (flat.view(float) if cplx else flat)
+    if cplx:
+        out = out.view(complex)
+    return out.reshape(x.shape[:axis] + (M.shape[0],) + x.shape[axis + 1:])
 
 
 def ball_energy_quadrature(scheme, signal):

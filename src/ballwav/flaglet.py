@@ -13,7 +13,10 @@ accumulation and the round trip is exact for band-limited signals.
 The transform splits at the coefficient boundary: analysis_from_coeffs maps
 coefficients f[p, lm] to a WaveletCoeffSet and synthesis_to_coeffs maps one
 back. flaglet_analysis and flaglet_synthesis wrap them with the grid
-transforms and return real arrays for real input.
+transforms. A real signal runs on the real-signal path of flag throughout:
+flaglet_analysis knows it from a float grid, flaglet_synthesis from float
+parts, and analysis_from_coeffs is told real=True; its parts, and the
+reconstruction, are then float arrays.
 """
 
 from __future__ import annotations
@@ -46,16 +49,6 @@ def _packed_kernel(kern2d, L_red, P_red):
     return kern2d[ell_of, :P_red].T
 
 
-def _to_real(values, what):
-    resid = float(np.max(np.abs(values.imag)))
-    bound = 1e-10 * max(1.0, float(np.max(np.abs(values.real))))
-    if resid > bound:
-        raise ArithmeticError(
-            "%s imaginary residue %g exceeds %g for real input" % (what, resid, bound)
-        )
-    return values.real.copy()
-
-
 @dataclass(frozen=True)
 class WaveletCoeffSet:
     """Scaling samples on the full grid plus one sample array per scale.
@@ -82,34 +75,34 @@ def _check_match(scheme, kernels):
 
 
 def _analysis(scheme, f, kernels, multires, real):
-    """WaveletCoeffSet of coefficients f; with real set, each part is made
-    real as soon as it is sampled, so one complex part is alive at a time."""
+    """WaveletCoeffSet of coefficients f; with real set, f is taken to be
+    conjugate-symmetric and every part is sampled as a float array."""
     _check_match(scheme, kernels)
     if f.shape != (scheme.P, scheme.L * scheme.L):
         raise ValueError("coefficient band-limits do not match scheme")
     fac = flag.sqrt4pi_factor(scheme.L)
     prm = kernels.params
-
-    def sampled(sub, w, what):
-        values = flag.flag_synthesis(sub, w)
-        return _to_real(values, what) if real else values
-
     w_phi = fac[None, :] * f * _packed_kernel(kernels.phi, scheme.L, scheme.P)
-    scaling = sampled(scheme, w_phi, "scaling coefficients")
+    scaling = flag._synthesis(scheme, w_phi, real)
     wavelets = {}
     for j, jp in prm.scales:
         Lj, Pjp = tiling.kernel_bandlimits(prm, j, jp)
         sub = scale_scheme(scheme, prm, j, jp, multires)
         psi = _packed_kernel(kernels.psi_scale(j, jp), Lj, Pjp)
         w = fac[None, : Lj * Lj] * f[:Pjp, : Lj * Lj] * psi
-        wavelets[(j, jp)] = sampled(sub, w, "wavelet (%d, %d)" % (j, jp))
+        wavelets[(j, jp)] = flag._synthesis(sub, w, real)
     return WaveletCoeffSet(params=prm, scaling=scaling, wavelets=wavelets,
                            multires=multires)
 
 
-def analysis_from_coeffs(scheme, f, kernels, multires=False):
-    """Wavelet and scaling parts, as complex samples, of coefficients f[p, lm]."""
-    return _analysis(scheme, np.asarray(f), kernels, multires, real=False)
+def analysis_from_coeffs(scheme, f, kernels, multires=False, real=False):
+    """Wavelet and scaling parts of coefficients f[p, lm]: complex samples,
+    or float ones with real set, when f must be that of a real signal
+    (sht.check_real raises ArithmeticError otherwise)."""
+    f = np.asarray(f)
+    if real:
+        sht.check_real(f)
+    return _analysis(scheme, f, kernels, multires, real)
 
 
 def flaglet_analysis(scheme, signal, kernels, multires=False):
@@ -137,8 +130,8 @@ def synthesis_to_coeffs(coeffs, kernels, scheme):
 
 
 def flaglet_synthesis(coeffs, kernels, scheme):
-    """Reconstruct the ball signal from a WaveletCoeffSet (exact round trip)."""
-    out = flag.flag_synthesis(scheme, synthesis_to_coeffs(coeffs, kernels, scheme))
-    if not any(map(np.iscomplexobj, [coeffs.scaling, *coeffs.wavelets.values()])):
-        out = _to_real(out, "reconstruction")
+    """Reconstruct the ball signal from a WaveletCoeffSet (exact round trip);
+    it is a float grid when every part is a float array."""
+    real = not any(map(np.iscomplexobj, [coeffs.scaling, *coeffs.wavelets.values()]))
+    out = flag._synthesis(scheme, synthesis_to_coeffs(coeffs, kernels, scheme), real)
     return flag.BallSignal(scheme=scheme, values=out)

@@ -20,6 +20,18 @@ Coefficients at a band-limit Lc < L still live on the band-limit-L grid,
 but cost only what Lc needs: both directions contract the table block
 m, l < Lc and touch the 2Lc-1 FFT bins of orders |m| < Lc. sht_inverse reads
 Lc from its input; sht_forward takes it as an output band-limit.
+
+A real signal has conjugate-symmetric coefficients, f_{l,-m} = (-1)^m
+conj(f_lm), so only the m >= 0 half needs computing. sht_forward takes that
+path for any float grid: an rfft, then one batched matmul of the table
+against the (re, im) pairs of the bins, laid out (m, theta, batch), so the
+real table is never promoted to complex; the m < 0 half is filled by
+symmetry. A float dtype marks a real grid, but nothing marks real
+coefficients, so sht_inverse must be told: with real=True it reads the
+m >= 0 half, contracts it the same way and ends with an irfft, returning a
+float grid. check_real guards that claim, raising ArithmeticError when the
+coefficients are not conjugate-symmetric, since the m < 0 half would
+otherwise be dropped silently. The complex path is unchanged.
 """
 
 from __future__ import annotations
@@ -48,11 +60,41 @@ def packed_bandlimit(vals):
     return L
 
 
+@lru_cache(maxsize=64)
 def _lm_arrays(L):
+    """Degree l and order m of each packed index l*l + l + m below L*L."""
     idx = np.arange(L * L)
     ell = np.floor(np.sqrt(idx)).astype(np.int64)
     m = idx - ell * ell - ell
+    for a in (ell, m):
+        a.flags.writeable = False  # cached: every caller shares them
     return ell, m
+
+
+@lru_cache(maxsize=64)
+def _mirrors(L):
+    """Packed indices i of the orders m <= 0, the index of (l, -m) for each,
+    and (-1)^m; a real signal has f[..., i] = sign * conj(f[..., mirror])."""
+    _, m = _lm_arrays(L)
+    i = np.flatnonzero(m <= 0)
+    parts = (i, i - 2 * m[i], (-1.0) ** m[i])
+    for a in parts:
+        a.flags.writeable = False  # cached: every caller shares them
+    return parts
+
+
+def check_real(coeffs):
+    """Raise ArithmeticError unless packed coefficients (..., L*L) are those of
+    a real signal: f_{l,-m} = (-1)^m conj(f_lm) to 1e-10 max(1, max|f|)."""
+    vals = np.asarray(coeffs)
+    i, mirror, sign = _mirrors(packed_bandlimit(vals))
+    resid = float(np.max(np.abs(vals[..., i] - sign * np.conj(vals[..., mirror])),
+                         initial=0.0))
+    bound = 1e-10 * max(1.0, float(np.max(np.abs(vals), initial=0.0)))
+    if resid > bound:
+        raise ArithmeticError(
+            "coefficients are not those of a real signal: conjugate-symmetry "
+            "residue %g exceeds %g" % (resid, bound))
 
 
 def _legendre_table(L, ct, st):
@@ -161,6 +203,8 @@ def sht_forward(scheme, samples, Lc=None):
     Lc = L if Lc is None else Lc
     if not 1 <= Lc <= L:
         raise ValueError("output band-limit %r not in 1..%d" % (Lc, L))
+    if not np.iscomplexobj(vals):
+        return _forward_real(scheme, vals, Lc)
     plm = scheme._plm[:Lc, :Lc]
     # each grid-sized temporary is dropped once spent, to bound peak memory
     G = np.fft.fft(vals, axis=-1)
@@ -180,16 +224,48 @@ def sht_forward(scheme, samples, Lc=None):
     return out
 
 
-def sht_inverse(scheme, coeffs):
+def _forward_real(scheme, vals, Lc):
+    """sht_forward of a float grid: only the orders m >= 0 are computed, from
+    rfft bins 0..Lc-1; the m < 0 half follows by conjugate symmetry."""
+    batch = vals.shape[:-2]
+    G = np.fft.rfft(vals.reshape((-1,) + scheme.grid_shape), axis=-1)
+    # m-major (m, t, batch) layout: each order is one float matmul of its
+    # table block against the (re, im) pairs of its bins
+    X = np.ascontiguousarray(G[..., :Lc].transpose(2, 1, 0))
+    del G
+    X *= (scheme.theta_weights * (2.0 * np.pi / scheme.n_phi))[:, None]
+    Y = np.matmul(scheme._plm[:Lc, :Lc], X.view(float)).view(complex)
+    del X
+    (i_p, r_p, l_p), (i_n, r_n, l_n, sign) = _halves(Lc)
+    out = np.empty((Y.shape[-1], Lc * Lc), dtype=complex)
+    out[:, i_p] = Y[r_p, l_p].T
+    # f_{l,-m} = (-1)^m conj(f_lm); order |m| = r_n + 1 is row r_n + 1 of Y
+    out[:, i_n] = sign * np.conj(Y[r_n + 1, l_n]).T
+    return out.reshape(batch + (Lc * Lc,))
+
+
+def sht_inverse(scheme, coeffs, real=False):
     """Evaluate coefficients (..., Lc*Lc) with Lc <= L on the scheme grid.
 
     Only the table rows m, l < Lc are contracted; the bins of orders
-    |m| >= Lc are set to zero.
+    |m| >= Lc are set to zero. With real set the coefficients must be those
+    of a real signal (check_real raises ArithmeticError otherwise): only the
+    m >= 0 half is read and the grid is float, from an irfft.
     """
     vals = np.asarray(coeffs)
+    if real:
+        check_real(vals)
+    return _inverse(scheme, vals, real)
+
+
+def _inverse(scheme, vals, real):
+    """sht_inverse without the check of a real claim, for callers that have
+    checked it or derived it from a dtype."""
     Lc = packed_bandlimit(vals)
     if not 1 <= Lc <= scheme.L:
         raise ValueError("coefficient band-limit %d not in 1..%d" % (Lc, scheme.L))
+    if real:
+        return _inverse_real(scheme, vals, Lc)
     F, plm = scheme.n_phi, scheme._plm[:Lc, :Lc]
     (i_p, r_p, l_p), (i_n, r_n, l_n, sign) = _halves(Lc)
     batch = vals.shape[:-1]
@@ -209,6 +285,26 @@ def sht_inverse(scheme, coeffs):
     del H
     out *= F
     return out
+
+
+def _inverse_real(scheme, vals, Lc):
+    """sht_inverse of conjugate-symmetric coefficients, from their m >= 0 half."""
+    batch = vals.shape[:-1]
+    flat = vals.reshape(-1, Lc * Lc)
+    (i_p, r_p, l_p), _ = _halves(Lc)
+    # m-major (m, l, batch) layout, as in _forward_real
+    half = np.zeros((Lc, Lc, flat.shape[0]), dtype=complex)
+    half[r_p, l_p] = flat[:, i_p].T
+    H = np.matmul(scheme._plm[:Lc, :Lc].transpose(0, 2, 1),
+                  half.view(float)).view(complex)
+    del half
+    spec = np.zeros((flat.shape[0], scheme.n_theta, scheme.L), dtype=complex)
+    spec[..., :Lc] = H.transpose(2, 1, 0)
+    del H
+    out = np.fft.irfft(spec, n=scheme.n_phi, axis=-1)
+    del spec
+    out *= scheme.n_phi
+    return out.reshape(batch + scheme.grid_shape)
 
 
 def ylm_point(L, theta, phi):

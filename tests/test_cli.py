@@ -127,6 +127,23 @@ def test_denoise_samples_input_round_trips_kind(tmp_path, capsys):
     assert ballfile.read_ballfile(out).kind == ballfile.KIND_SAMPLES
 
 
+def test_denoise_keeps_a_real_samples_file_real(tmp_path, capsys):
+    # the noise is real, so denoising a float-payload grid gives one back
+    scheme = flag.build_ball_scheme(8, 8)
+    f = flag.random_coeffs(8, 8, seed=1, real=True).values
+    grid = flag.flag_synthesis(scheme, f).real
+    src = tmp_path / "grid.flb"
+    ballfile.write_ballfile(src, ballfile.pack_samples(
+        flag.BallSignal(scheme=scheme, values=grid)))
+    out = tmp_path / "den.flb"
+    rc, _, _ = run(capsys, "denoise", "--input", str(src),
+                   "--output", str(out), "--snr-in", "5")
+    assert rc == 0
+    bf = ballfile.read_ballfile(out)
+    assert bf.kind == ballfile.KIND_SAMPLES and not bf.complex_payload
+    assert out.stat().st_size == src.stat().st_size
+
+
 def test_denoise_rejects_corrupt_input(tmp_path, capsys):
     bad = tmp_path / "bad.flb"
     bad.write_bytes(b"NOPE" + b"\x00" * 64)

@@ -219,6 +219,9 @@ def test_pipeline_improves_snr():
                                                     model)
     assert snr_in == pytest.approx(5.0, abs=1e-6)
     assert snr_out > snr_in + 3.0
+    # a real noisy signal gives real parts and a real result
+    assert den.real
+    sht.check_real(den.values)
 
 
 def test_pipeline_reuses_cached_schemes(monkeypatch):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ballwav import flag, laguerre, sht
+from ballwav import flag, flaglet, laguerre, sht, tiling
 
 
 def test_scheme_properties():
@@ -218,8 +218,15 @@ def test_energy_quadrature_on_known_signal():
     assert flag.ball_energy_quadrature(sch, sig) == pytest.approx(1.0, rel=1e-12)
 
 
+# (L, P) over {1, 2, 5, 16, 33}, at full and at reduced band-limits (Lc, Pc)
+REAL_BANDS = [(1, 1, 1, 1), (2, 2, 2, 2), (2, 5, 1, 5), (5, 2, 5, 1),
+              (5, 5, 2, 2), (16, 16, 16, 16), (16, 33, 7, 33), (33, 16, 33, 5),
+              (33, 33, 16, 16), (33, 33, 33, 33)]
+
+
 @pytest.mark.parametrize("L,P,Lc,Pc", [(6, 5, 6, 5), (6, 5, 1, 1), (6, 5, 6, 2),
-                                       (6, 5, 2, 5), (9, 7, 4, 3), (8, 8, 8, 1)])
+                                       (6, 5, 2, 5), (9, 7, 4, 3), (8, 8, 8, 1)]
+                         + REAL_BANDS)
 def test_analysis_band_limits_are_a_slice(L, P, Lc, Pc):
     sch = flag.build_ball_scheme(L, P, tau=0.8)
     rng = np.random.default_rng(L * P + Lc)
@@ -230,6 +237,38 @@ def test_analysis_band_limits_are_a_slice(L, P, Lc, Pc):
         out = flag.flag_analysis(sch, g, (Lc, Pc))
         assert out.shape == (2, Pc, Lc * Lc)
         assert np.max(np.abs(out - full[:, :Pc, :Lc * Lc])) < 1e-12
+    # a float grid takes the real path, with float matmuls on both axes
+    real_path = flag.flag_analysis(sch, grid.real, (Lc, Pc))
+    complex_path = flag.flag_analysis(sch, grid.real.astype(complex), (Lc, Pc))
+    assert np.max(np.abs(real_path - complex_path)) < 1e-12
+
+
+@pytest.mark.parametrize("L,P,Lc,Pc", REAL_BANDS)
+def test_real_synthesis_matches_complex(L, P, Lc, Pc):
+    sch = flag.build_ball_scheme(L, P, tau=0.8)
+    block = np.stack([flag.random_coeffs(Lc, Pc, seed=s, real=True).values
+                      for s in range(2)])
+    grid = flag.flag_synthesis(sch, block, real=True)
+    assert grid.dtype == np.float64 and grid.shape == (2,) + sch.grid_shape
+    assert np.max(np.abs(grid - flag.flag_synthesis(sch, block))) < 1e-12
+
+
+@pytest.mark.parametrize("call", [
+    lambda sch, f: sht.sht_inverse(sch.angular, f[0], real=True),
+    lambda sch, f: flag.flag_synthesis(sch, f, real=True),
+    lambda sch, f: flaglet.analysis_from_coeffs(
+        sch, f, tiling.build_tiling(tiling.make_tiling_params(2.0, 2.0, 6, 4)),
+        real=True),
+], ids=["sht_inverse", "flag_synthesis", "analysis_from_coeffs"])
+def test_real_claim_on_asymmetric_coeffs_raises(call):
+    # the m < 0 half is never read on the real path, so a false claim would
+    # drop it silently; each entry that takes the claim checks it once
+    sch = flag.build_ball_scheme(6, 4)
+    f = flag.random_coeffs(6, 4, seed=5, real=True).values
+    call(sch, f)
+    f[0, sht.lm_index(3, -1)] += 1e-3
+    with pytest.raises(ArithmeticError, match="real signal"):
+        call(sch, f)
 
 
 @pytest.mark.parametrize("Lc,Pc", [(1, 1), (3, 2), (6, 4), (2, 5)])

@@ -136,6 +136,17 @@ def test_real_input_yields_real_arrays():
     # complex input stays complex
     wc = flaglet.flaglet_analysis(scheme, sig, kernels)
     assert wc.scaling.dtype.kind == "c"
+    # the real path matches the complex one on the same grid, part by part
+    for multires in (False, True):
+        w = flaglet.flaglet_analysis(scheme, real_grid, kernels, multires=multires)
+        wc = flaglet.flaglet_analysis(scheme, real_grid.astype(complex), kernels,
+                                      multires=multires)
+        for s in w.scales:
+            assert np.max(np.abs(w.wavelets[s] - wc.wavelets[s])) < 1e-12
+        assert np.max(np.abs(w.scaling - wc.scaling)) < 1e-12
+        rec = flaglet.flaglet_synthesis(w, kernels, scheme).values
+        rec_c = flaglet.flaglet_synthesis(wc, kernels, scheme).values
+        assert np.max(np.abs(rec - rec_c)) < 1e-12
 
 
 def test_band_limit_mismatch_raises():

@@ -191,7 +191,9 @@ def test_shape_and_band_limit_errors():
             sht.sht_forward(sch, np.zeros((4, 7)), Lc)
 
 
-@pytest.mark.parametrize("L,Lc", [(1, 1), (5, 1), (5, 2), (8, 5), (8, 8), (16, 7)])
+@pytest.mark.parametrize("L,Lc", [(1, 1), (5, 1), (5, 2), (8, 5), (8, 8), (16, 7),
+                                  (2, 1), (2, 2), (5, 5), (16, 16), (33, 16),
+                                  (33, 33)])
 def test_forward_band_limit_is_a_prefix(L, Lc):
     sch = sht.build_angular_scheme(L)
     rng = np.random.default_rng(L + Lc)
@@ -201,3 +203,36 @@ def test_forward_band_limit_is_a_prefix(L, Lc):
         out = sht.sht_forward(sch, g, Lc)
         assert out.shape == (3, Lc * Lc)
         assert np.max(np.abs(out - sht.sht_forward(sch, g)[:, :Lc * Lc])) < 1e-12
+    # a float grid takes the real path: the m >= 0 half, m < 0 by symmetry
+    real_path = sht.sht_forward(sch, grid.real, Lc)
+    complex_path = sht.sht_forward(sch, grid.real.astype(complex), Lc)
+    assert np.max(np.abs(real_path - complex_path)) < 1e-12
+
+
+@pytest.mark.parametrize("L,Lc", [(1, 1), (2, 1), (2, 2), (5, 2), (5, 5),
+                                  (16, 7), (16, 16), (33, 16), (33, 33)])
+def test_real_inverse_matches_complex(L, Lc):
+    from ballwav import flag
+
+    sch = sht.build_angular_scheme(L)
+    # three conjugate-symmetric coefficient rows: a batch axis
+    f = flag.random_coeffs(Lc, 3, seed=L + Lc, real=True).values
+    grid = sht.sht_inverse(sch, f, real=True)
+    assert grid.dtype == np.float64 and grid.shape == (3,) + sch.grid_shape
+    assert np.max(np.abs(grid - sht.sht_inverse(sch, f))) < 1e-12
+
+
+def test_check_real_bound():
+    from ballwav import flag
+
+    L = 6
+    f = 10.0 * flag.random_coeffs(L, 2, seed=8, real=True).values
+    sht.check_real(f)
+    bound = 1e-10 * np.max(np.abs(f))
+    for ell, m in ((3, -2), (4, 0), (5, 5)):
+        g = f.copy()
+        g[1, sht.lm_index(ell, m)] += 0.1 * bound * 1j
+        sht.check_real(g)
+        g[1, sht.lm_index(ell, m)] += 10.0 * bound * 1j
+        with pytest.raises(ArithmeticError, match="real signal"):
+            sht.check_real(g)
