@@ -16,9 +16,9 @@ coefficients (..., P, L*L). BallSignal and FlagCoeffs wrap arrays only at
 the edges that need their scheme or band-limits: ballfile, denoise and the
 flaglet coefficient set.
 
-Real signals take the real path of the spherical transform (see sht). As
-there, flag_analysis takes it for any float grid, and flag_synthesis when
-told real=True, which it checks once with sht.check_real and answers with a
+Real signals take the real path of the spherical transform (see sht).
+flag_analysis takes it for any float grid, and flag_synthesis when told
+real=True, which it checks once with sht.check_real and answers with a
 float grid. On that path the radial step is one float matmul too, on the
 real grid or on the (re, im) view of the coefficients.
 """
@@ -114,24 +114,17 @@ def flag_analysis(scheme, signal, bandlimits=None):
     return np.einsum("pi,...il->...pl", B, shells)
 
 
-def flag_synthesis(scheme, coeffs, real=False):
+def flag_synthesis(scheme, coeffs, real=False, *, check=True):
     """Evaluate coefficients (..., Pc, Lc*Lc) with (Lc, Pc) <= (L, P) on the
     scheme grid (inverse of flag_analysis).
 
     With Pc < P the angular transform runs first, on the Pc rows, and the
     radial step then maps them to the P nodes. With real set the coefficients
-    must be those of a real signal (sht.check_real raises ArithmeticError
-    otherwise) and the grid is float.
+    must be those of a real signal and the grid is float; sht.check_real
+    checks the claim (ArithmeticError) unless check is false, which callers
+    pass only for coefficients real by construction.
     """
     vals = np.asarray(coeffs)
-    if real:
-        sht.check_real(vals)
-    return _synthesis(scheme, vals, real)
-
-
-def _synthesis(scheme, vals, real):
-    """flag_synthesis without the check of a real claim, for callers that
-    have checked it or derived it from a dtype."""
     if vals.ndim < 2:
         raise ValueError("coefficients must have shape (..., Pc, Lc*Lc)")
     Pc = vals.shape[-2]
@@ -139,9 +132,11 @@ def _synthesis(scheme, vals, real):
         raise ValueError("coefficient band-limits exceed scheme")
     S = scheme.radial.node_synthesis[:, :Pc]
     if real:
+        if check:
+            sht.check_real(vals)
         if Pc < scheme.P:
-            return _radial(S, sht._inverse(scheme.angular, vals, True), -3)
-        return sht._inverse(scheme.angular, _radial(S, vals, -2), True)
+            return _radial(S, sht._inverse_real(scheme.angular, vals), -3)
+        return sht._inverse_real(scheme.angular, _radial(S, vals, -2))
     if Pc < scheme.P:
         rows = sht.sht_inverse(scheme.angular, vals)
         # contract (re, im) pairs so that the real S is not promoted to complex
@@ -154,8 +149,9 @@ def _radial(M, x, axis):
     """Real matrix M applied along axis -2 (coefficients) or -3 (grid) of x,
     as one float matmul: complex x goes through its (re, im) view, so M is
     never promoted to complex."""
-    x = np.ascontiguousarray(x)
     cplx = np.iscomplexobj(x)
+    # the (re, im) view needs complex128, and float32 x would round M @ x
+    x = np.ascontiguousarray(x, dtype=complex if cplx else float)
     flat = x.reshape(x.shape[:axis + 1] + (-1,))
     out = M @ (flat.view(float) if cplx else flat)
     if cplx:

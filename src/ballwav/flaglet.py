@@ -76,21 +76,23 @@ def _check_match(scheme, kernels):
 
 def _analysis(scheme, f, kernels, multires, real):
     """WaveletCoeffSet of coefficients f; with real set, f is taken to be
-    conjugate-symmetric and every part is sampled as a float array."""
+    conjugate-symmetric and every part is sampled as a float array. The
+    kernels depend on l alone, so each part keeps that symmetry and is not
+    checked again."""
     _check_match(scheme, kernels)
     if f.shape != (scheme.P, scheme.L * scheme.L):
         raise ValueError("coefficient band-limits do not match scheme")
     fac = flag.sqrt4pi_factor(scheme.L)
     prm = kernels.params
     w_phi = fac[None, :] * f * _packed_kernel(kernels.phi, scheme.L, scheme.P)
-    scaling = flag._synthesis(scheme, w_phi, real)
+    scaling = flag.flag_synthesis(scheme, w_phi, real, check=False)
     wavelets = {}
     for j, jp in prm.scales:
         Lj, Pjp = tiling.kernel_bandlimits(prm, j, jp)
         sub = scale_scheme(scheme, prm, j, jp, multires)
         psi = _packed_kernel(kernels.psi_scale(j, jp), Lj, Pjp)
         w = fac[None, : Lj * Lj] * f[:Pjp, : Lj * Lj] * psi
-        wavelets[(j, jp)] = flag._synthesis(sub, w, real)
+        wavelets[(j, jp)] = flag.flag_synthesis(sub, w, real, check=False)
     return WaveletCoeffSet(params=prm, scaling=scaling, wavelets=wavelets,
                            multires=multires)
 
@@ -131,7 +133,9 @@ def synthesis_to_coeffs(coeffs, kernels, scheme):
 
 def flaglet_synthesis(coeffs, kernels, scheme):
     """Reconstruct the ball signal from a WaveletCoeffSet (exact round trip);
-    it is a float grid when every part is a float array."""
+    it is a float grid when every part is a float array, whose coefficients
+    the real path of flag_analysis makes conjugate-symmetric exactly."""
     real = not any(map(np.iscomplexobj, [coeffs.scaling, *coeffs.wavelets.values()]))
-    out = flag._synthesis(scheme, synthesis_to_coeffs(coeffs, kernels, scheme), real)
+    out = flag.flag_synthesis(scheme, synthesis_to_coeffs(coeffs, kernels, scheme),
+                              real, check=False)
     return flag.BallSignal(scheme=scheme, values=out)

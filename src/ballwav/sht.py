@@ -27,11 +27,12 @@ path for any float grid: an rfft, then one batched matmul of the table
 against the (re, im) pairs of the bins, laid out (m, theta, batch), so the
 real table is never promoted to complex; the m < 0 half is filled by
 symmetry. A float dtype marks a real grid, but nothing marks real
-coefficients, so sht_inverse must be told: with real=True it reads the
-m >= 0 half, contracts it the same way and ends with an irfft, returning a
-float grid. check_real guards that claim, raising ArithmeticError when the
-coefficients are not conjugate-symmetric, since the m < 0 half would
-otherwise be dropped silently. The complex path is unchanged.
+coefficients, so the real inverse is taken only where a caller says so:
+flag_synthesis with real=True. It reads the m >= 0 half, contracts it the
+same way and ends with an irfft, returning a float grid. check_real guards
+that claim, raising ArithmeticError when the coefficients are not
+conjugate-symmetric, since the m < 0 half would otherwise be dropped
+silently. sht_inverse itself is the complex path, which is unchanged.
 """
 
 from __future__ import annotations
@@ -71,26 +72,19 @@ def _lm_arrays(L):
     return ell, m
 
 
-@lru_cache(maxsize=64)
-def _mirrors(L):
-    """Packed indices i of the orders m <= 0, the index of (l, -m) for each,
-    and (-1)^m; a real signal has f[..., i] = sign * conj(f[..., mirror])."""
-    _, m = _lm_arrays(L)
-    i = np.flatnonzero(m <= 0)
-    parts = (i, i - 2 * m[i], (-1.0) ** m[i])
-    for a in parts:
-        a.flags.writeable = False  # cached: every caller shares them
-    return parts
-
-
 def check_real(coeffs):
     """Raise ArithmeticError unless packed coefficients (..., L*L) are those of
     a real signal: f_{l,-m} = (-1)^m conj(f_lm) to 1e-10 max(1, max|f|)."""
     vals = np.asarray(coeffs)
-    i, mirror, sign = _mirrors(packed_bandlimit(vals))
-    resid = float(np.max(np.abs(vals[..., i] - sign * np.conj(vals[..., mirror])),
-                         initial=0.0))
-    bound = 1e-10 * max(1.0, float(np.max(np.abs(vals), initial=0.0)))
+    (i_p, r_p, _), (i_n, r_n, _, sign) = _halves(packed_bandlimit(vals))
+    # order m < 0 at i_n mirrors order |m| = r_n + 1 at i_n + 2|m|; m = 0
+    # mirrors itself
+    zero = vals[..., i_p[r_p == 0]]
+    resid = max(float(np.max(np.abs(zero - np.conj(zero)))),
+                float(np.max(np.abs(vals[..., i_n]
+                                    - sign * np.conj(vals[..., i_n + 2 * r_n + 2])),
+                             initial=0.0)))
+    bound = 1e-10 * max(1.0, float(np.max(np.abs(vals))))
     if resid > bound:
         raise ArithmeticError(
             "coefficients are not those of a real signal: conjugate-symmetry "
@@ -227,6 +221,8 @@ def sht_forward(scheme, samples, Lc=None):
 def _forward_real(scheme, vals, Lc):
     """sht_forward of a float grid: only the orders m >= 0 are computed, from
     rfft bins 0..Lc-1; the m < 0 half follows by conjugate symmetry."""
+    # the (re, im) view below needs complex128 bins, so a float64 grid
+    vals = np.asarray(vals, dtype=float)
     batch = vals.shape[:-2]
     G = np.fft.rfft(vals.reshape((-1,) + scheme.grid_shape), axis=-1)
     # m-major (m, t, batch) layout: each order is one float matmul of its
@@ -244,28 +240,22 @@ def _forward_real(scheme, vals, Lc):
     return out.reshape(batch + (Lc * Lc,))
 
 
-def sht_inverse(scheme, coeffs, real=False):
-    """Evaluate coefficients (..., Lc*Lc) with Lc <= L on the scheme grid.
-
-    Only the table rows m, l < Lc are contracted; the bins of orders
-    |m| >= Lc are set to zero. With real set the coefficients must be those
-    of a real signal (check_real raises ArithmeticError otherwise): only the
-    m >= 0 half is read and the grid is float, from an irfft.
-    """
-    vals = np.asarray(coeffs)
-    if real:
-        check_real(vals)
-    return _inverse(scheme, vals, real)
-
-
-def _inverse(scheme, vals, real):
-    """sht_inverse without the check of a real claim, for callers that have
-    checked it or derived it from a dtype."""
+def _bandlimit(scheme, vals):
+    """Band-limit Lc of packed coefficients vals, checked against the scheme."""
     Lc = packed_bandlimit(vals)
     if not 1 <= Lc <= scheme.L:
         raise ValueError("coefficient band-limit %d not in 1..%d" % (Lc, scheme.L))
-    if real:
-        return _inverse_real(scheme, vals, Lc)
+    return Lc
+
+
+def sht_inverse(scheme, coeffs):
+    """Evaluate coefficients (..., Lc*Lc) with Lc <= L on the scheme grid.
+
+    Only the table rows m, l < Lc are contracted; the bins of orders
+    |m| >= Lc are set to zero.
+    """
+    vals = np.asarray(coeffs)
+    Lc = _bandlimit(scheme, vals)
     F, plm = scheme.n_phi, scheme._plm[:Lc, :Lc]
     (i_p, r_p, l_p), (i_n, r_n, l_n, sign) = _halves(Lc)
     batch = vals.shape[:-1]
@@ -287,8 +277,11 @@ def _inverse(scheme, vals, real):
     return out
 
 
-def _inverse_real(scheme, vals, Lc):
-    """sht_inverse of conjugate-symmetric coefficients, from their m >= 0 half."""
+def _inverse_real(scheme, vals):
+    """sht_inverse of conjugate-symmetric coefficients, from their m >= 0 half,
+    as a float grid. The symmetry is assumed, not checked: flag_synthesis
+    checks a caller's real claim with check_real before it gets here."""
+    Lc = _bandlimit(scheme, vals)
     batch = vals.shape[:-1]
     flat = vals.reshape(-1, Lc * Lc)
     (i_p, r_p, l_p), _ = _halves(Lc)

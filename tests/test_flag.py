@@ -237,10 +237,13 @@ def test_analysis_band_limits_are_a_slice(L, P, Lc, Pc):
         out = flag.flag_analysis(sch, g, (Lc, Pc))
         assert out.shape == (2, Pc, Lc * Lc)
         assert np.max(np.abs(out - full[:, :Pc, :Lc * Lc])) < 1e-12
-    # a float grid takes the real path, with float matmuls on both axes
-    real_path = flag.flag_analysis(sch, grid.real, (Lc, Pc))
-    complex_path = flag.flag_analysis(sch, grid.real.astype(complex), (Lc, Pc))
-    assert np.max(np.abs(real_path - complex_path)) < 1e-12
+    # a float grid takes the real path, with float matmuls on both axes; a
+    # float32 grid, batched or single, is read as float64
+    for g in (grid.real, grid.real.astype(np.float32), grid.real[0].astype(np.float32)):
+        real_path = flag.flag_analysis(sch, g, (Lc, Pc))
+        complex_path = flag.flag_analysis(sch, g.astype(complex), (Lc, Pc))
+        assert real_path.dtype == np.complex128
+        assert np.max(np.abs(real_path - complex_path)) < 1e-12
 
 
 @pytest.mark.parametrize("L,P,Lc,Pc", REAL_BANDS)
@@ -251,15 +254,19 @@ def test_real_synthesis_matches_complex(L, P, Lc, Pc):
     grid = flag.flag_synthesis(sch, block, real=True)
     assert grid.dtype == np.float64 and grid.shape == (2,) + sch.grid_shape
     assert np.max(np.abs(grid - flag.flag_synthesis(sch, block))) < 1e-12
+    # complex64 coefficients, batched or single, are read as complex128
+    for b in (block.astype(np.complex64), block[0].astype(np.complex64)):
+        grid = flag.flag_synthesis(sch, b, real=True)
+        assert grid.dtype == np.float64
+        assert np.max(np.abs(grid - flag.flag_synthesis(sch, b.astype(complex)))) < 1e-12
 
 
 @pytest.mark.parametrize("call", [
-    lambda sch, f: sht.sht_inverse(sch.angular, f[0], real=True),
     lambda sch, f: flag.flag_synthesis(sch, f, real=True),
     lambda sch, f: flaglet.analysis_from_coeffs(
         sch, f, tiling.build_tiling(tiling.make_tiling_params(2.0, 2.0, 6, 4)),
         real=True),
-], ids=["sht_inverse", "flag_synthesis", "analysis_from_coeffs"])
+], ids=["flag_synthesis", "analysis_from_coeffs"])
 def test_real_claim_on_asymmetric_coeffs_raises(call):
     # the m < 0 half is never read on the real path, so a false claim would
     # drop it silently; each entry that takes the claim checks it once

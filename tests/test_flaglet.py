@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,15 @@ def test_real_input_yields_real_arrays():
         rec = flaglet.flaglet_synthesis(w, kernels, scheme).values
         rec_c = flaglet.flaglet_synthesis(wc, kernels, scheme).values
         assert np.max(np.abs(rec - rec_c)) < 1e-12
+    # float32 parts are read as float64
+    w32, wc32 = (dataclasses.replace(
+        w, scaling=w.scaling.astype(np.float32).astype(dt),
+        wavelets={s: v.astype(np.float32).astype(dt) for s, v in w.wavelets.items()})
+        for dt in (np.float32, complex))
+    rec = flaglet.flaglet_synthesis(w32, kernels, scheme).values
+    assert rec.dtype == np.float64
+    rec_c = flaglet.flaglet_synthesis(wc32, kernels, scheme).values
+    assert np.max(np.abs(rec - rec_c)) < 1e-12
 
 
 def test_band_limit_mismatch_raises():

@@ -203,10 +203,13 @@ def test_forward_band_limit_is_a_prefix(L, Lc):
         out = sht.sht_forward(sch, g, Lc)
         assert out.shape == (3, Lc * Lc)
         assert np.max(np.abs(out - sht.sht_forward(sch, g)[:, :Lc * Lc])) < 1e-12
-    # a float grid takes the real path: the m >= 0 half, m < 0 by symmetry
-    real_path = sht.sht_forward(sch, grid.real, Lc)
-    complex_path = sht.sht_forward(sch, grid.real.astype(complex), Lc)
-    assert np.max(np.abs(real_path - complex_path)) < 1e-12
+    # a float grid takes the real path: the m >= 0 half, m < 0 by symmetry;
+    # a float32 grid, batched or single, is read as float64
+    for g in (grid.real, grid.real.astype(np.float32), grid.real[0].astype(np.float32)):
+        real_path = sht.sht_forward(sch, g, Lc)
+        complex_path = sht.sht_forward(sch, g.astype(complex), Lc)
+        assert real_path.dtype == np.complex128
+        assert np.max(np.abs(real_path - complex_path)) < 1e-12
 
 
 @pytest.mark.parametrize("L,Lc", [(1, 1), (2, 1), (2, 2), (5, 2), (5, 5),
@@ -217,7 +220,7 @@ def test_real_inverse_matches_complex(L, Lc):
     sch = sht.build_angular_scheme(L)
     # three conjugate-symmetric coefficient rows: a batch axis
     f = flag.random_coeffs(Lc, 3, seed=L + Lc, real=True).values
-    grid = sht.sht_inverse(sch, f, real=True)
+    grid = sht._inverse_real(sch, f)
     assert grid.dtype == np.float64 and grid.shape == (3,) + sch.grid_shape
     assert np.max(np.abs(grid - sht.sht_inverse(sch, f))) < 1e-12
 
