@@ -150,7 +150,7 @@ def _radial(M, x, axis):
     as one float matmul: complex x goes through its (re, im) view, so M is
     never promoted to complex."""
     cplx = np.iscomplexobj(x)
-    # the (re, im) view needs complex128, and float32 x would round M @ x
+    # the (re, im) float64 view needs complex128, not complex64
     x = np.ascontiguousarray(x, dtype=complex if cplx else float)
     flat = x.reshape(x.shape[:axis + 1] + (-1,))
     out = M @ (flat.view(float) if cplx else flat)
