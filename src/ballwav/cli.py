@@ -12,7 +12,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -183,10 +183,16 @@ def _load_clean_coeffs(path):
                                  real=not bf.complex_payload)
         return coeffs, scheme, bf.kind
     if bf.kind == ballfile.KIND_COEFFS:
-        from . import flag, flaglet
+        from . import flaglet, sht
 
         coeffs, tau = ballfile.unpack_coeffs(bf)
-        return coeffs, flaglet._cached_scheme(bf.L, bf.P, tau), bf.kind
+        scheme = flaglet._cached_scheme(bf.L, bf.P, tau)
+        # the container has no real flag for coefficients: read it off them
+        try:
+            sht.check_real(coeffs.values)
+        except ArithmeticError:
+            return coeffs, scheme, bf.kind
+        return replace(coeffs, real=True), scheme, bf.kind
     raise ballfile.BallFileError("denoise needs a samples or coefficient file")
 
 

@@ -21,6 +21,12 @@ flag_analysis takes it for any float grid, and flag_synthesis when told
 real=True, which it checks once with sht.check_real and answers with a
 float grid. On that path the radial step is one float matmul too, on the
 real grid or on the (re, im) view of the coefficients.
+
+The complex full-band path streams its radial steps under the byte budget
+of sht: synthesis evaluates a block of shells at a time and transforms it
+straight into the output grid, and analysis applies the radial matrix in
+place over blocks of coefficient columns, each of which depends only on
+itself.
 """
 
 from __future__ import annotations
@@ -111,7 +117,10 @@ def flag_analysis(scheme, signal, bandlimits=None):
         rows = np.einsum("pi,...itk->...ptk", B[:Pc], vals)
         return sht.sht_forward(scheme.angular, rows, Lc)
     shells = sht.sht_forward(scheme.angular, vals, Lc)
-    return np.einsum("pi,...il->...pl", B, shells)
+    # B in place over column blocks: an output column needs only its own input
+    for c in sht._blocks(shells.shape[-1], shells[..., 0].nbytes):
+        shells[..., c] = np.einsum("pi,...il->...pl", B, shells[..., c])
+    return shells
 
 
 def flag_synthesis(scheme, coeffs, real=False, *, check=True):
@@ -141,8 +150,13 @@ def flag_synthesis(scheme, coeffs, real=False, *, check=True):
         rows = sht.sht_inverse(scheme.angular, vals)
         # contract (re, im) pairs so that the real S is not promoted to complex
         return np.einsum("ip,...ptk->...itk", S, rows.view(float)).view(complex)
-    at_nodes = np.einsum("ip,...pl->...il", S, vals)
-    return sht.sht_inverse(scheme.angular, at_nodes)
+    Lc = sht._bandlimit(scheme.angular, vals)
+    out = np.empty(vals.shape[:-2] + scheme.grid_shape, dtype=complex)
+    # shell by shell block: the block's rows at the nodes go straight to out
+    for b in sht._blocks(scheme.P, out[..., 0, :, :].nbytes):
+        rows = np.einsum("ip,...pl->...il", S[b], vals)
+        sht._inverse_rows(scheme.angular, rows, out[..., b, :, :], Lc)
+    return out
 
 
 def _radial(M, x, axis):

@@ -32,7 +32,19 @@ flag_synthesis with real=True. It reads the m >= 0 half, contracts it the
 same way and ends with an irfft, returning a float grid. check_real guards
 that claim, raising ArithmeticError when the coefficients are not
 conjugate-symmetric, since the m < 0 half would otherwise be dropped
-silently. sht_inverse itself is the complex path, which is unchanged.
+silently. sht_inverse itself is the complex path.
+
+The complex transforms stream: leading axes are flattened into rows (grids
+or coefficient rows), and the work runs over blocks of rows holding at most
+_BLOCK_BYTES of complex grid, or one row. The budget bounds each block's
+temporaries (its FFT bins, binned halves and einsum outputs), so a transform
+holds its input, its output and a few budgets; sht_inverse builds a block's
+bins in its output and transforms them there. No value depends on the
+split: each row's FFT and each einsum entry is computed as in one call, and
+a grid up to L=P=64 is a single block. The real path takes all rows at
+once: over blocks of rows its forward matmul would round differently, as
+OpenBLAS rounds a column of a product differently with the column count,
+and its inverse would read the whole table for each block's little work.
 """
 
 from __future__ import annotations
@@ -183,6 +195,24 @@ def build_angular_scheme(L):
     )
 
 
+# Bytes of complex grid rows per block. One complex L=P=64 grid (8.3 MB) is
+# one block, so every grid up to that size runs as a single call.
+_BLOCK_BYTES = 8 << 20
+
+
+def _blocks(n, item_bytes):
+    """Slices covering range(n), each holding as many items of item_bytes as
+    fit in _BLOCK_BYTES, and at least one."""
+    step = max(1, _BLOCK_BYTES // max(1, item_bytes))
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+
+
+def _by_rows(scheme, body, rows, out, Lc):
+    """body(scheme, rows[s], out[s], Lc) over blocks s of the leading axis."""
+    for s in _blocks(len(rows), 16 * scheme.n_theta * scheme.n_phi):
+        body(scheme, rows[s], out[s], Lc)
+
+
 def sht_forward(scheme, samples, Lc=None):
     """Coefficients f_lm of a grid (..., n_theta, n_phi); exact at band-limit L.
 
@@ -199,23 +229,29 @@ def sht_forward(scheme, samples, Lc=None):
         raise ValueError("output band-limit %r not in 1..%d" % (Lc, L))
     if not np.iscomplexobj(vals):
         return _forward_real(scheme, vals, Lc)
+    out = np.empty(vals.shape[:-2] + (Lc * Lc,), dtype=complex)
+    _by_rows(scheme, _forward_rows, vals.reshape((-1,) + scheme.grid_shape),
+             out.reshape(-1, Lc * Lc), Lc)
+    return out
+
+
+def _forward_rows(scheme, vals, out, Lc):
+    """sht_forward of complex grids vals (..., n_theta, n_phi) into out."""
     plm = scheme._plm[:Lc, :Lc]
-    # each grid-sized temporary is dropped once spent, to bound peak memory
     G = np.fft.fft(vals, axis=-1)
-    if Lc < L:  # keep bins m = 0..Lc-1 and m = -(Lc-1)..-1, in FFT order
+    if Lc < scheme.L:  # keep bins m = 0..Lc-1 and m = -(Lc-1)..-1, in FFT order
         G = np.concatenate((G[..., :Lc], G[..., scheme.n_phi - Lc + 1:]), axis=-1)
     G *= (scheme.theta_weights * (2.0 * np.pi / scheme.n_phi))[:, None]
     pos = np.einsum("mlt,...tm->...ml", plm, G[..., :Lc])
     neg = np.einsum("mlt,...tm->...ml", plm[1:], G[..., :Lc - 1:-1])
+    # temporaries are dropped once spent, so that the allocator reuses them
     del G
     (i_p, r_p, l_p), (i_n, r_n, l_n, sign) = _halves(Lc)
-    out = np.empty(pos.shape[:-2] + (Lc * Lc,), dtype=complex)
     out[..., i_p] = pos[..., r_p, l_p]
     del pos
     neg = neg[..., r_n, l_n]
     neg *= sign
     out[..., i_n] = neg
-    return out
 
 
 def _forward_real(scheme, vals, Lc):
@@ -256,11 +292,18 @@ def sht_inverse(scheme, coeffs):
     """
     vals = np.asarray(coeffs)
     Lc = _bandlimit(scheme, vals)
+    out = np.empty(vals.shape[:-1] + scheme.grid_shape, dtype=complex)
+    _by_rows(scheme, _inverse_rows, vals.reshape(-1, Lc * Lc),
+             out.reshape((-1,) + scheme.grid_shape), Lc)
+    return out
+
+
+def _inverse_rows(scheme, vals, H, Lc):
+    """sht_inverse of coefficients vals (..., Lc*Lc) into complex grids H,
+    which hold the FFT bins until the inverse FFT runs in place."""
     F, plm = scheme.n_phi, scheme._plm[:Lc, :Lc]
     (i_p, r_p, l_p), (i_n, r_n, l_n, sign) = _halves(Lc)
     batch = vals.shape[:-1]
-    # each grid-sized temporary is dropped once spent, to bound peak memory
-    H = np.empty(batch + scheme.grid_shape, dtype=complex)
     half = np.zeros(batch + (Lc, Lc), dtype=complex)
     half[..., r_p, l_p] = vals[..., i_p]
     H[..., :Lc] = np.einsum("mlt,...ml->...tm", plm, half)
@@ -271,10 +314,8 @@ def sht_inverse(scheme, coeffs):
     del half
     if Lc < scheme.L:
         H[..., Lc:F - Lc + 1] = 0.0
-    out = np.fft.ifft(H, axis=-1)
-    del H
-    out *= F
-    return out
+    np.fft.ifft(H, axis=-1, out=H)
+    H *= F
 
 
 def _inverse_real(scheme, vals):

@@ -102,6 +102,28 @@ def test_denoise_improves_snr(tmp_path, capsys, seed):
     assert out.exists()
 
 
+def test_denoise_takes_the_real_path_for_a_real_coeff_file(tmp_path, capsys, monkeypatch):
+    # a coefficient file carries no real flag; synth writes conjugate-symmetric
+    # coefficients, so denoise must read the flag off them
+    from ballwav import flaglet
+
+    seen = []
+    inner = flaglet.analysis_from_coeffs
+
+    def spy(*args, real=False, **kwargs):
+        seen.append(real)
+        return inner(*args, real=real, **kwargs)
+
+    monkeypatch.setattr(flaglet, "analysis_from_coeffs", spy)
+    clean = _synth(tmp_path, capsys, L="8")
+    rc, text, _ = run(capsys, "denoise", "--input", str(clean),
+                      "--output", str(tmp_path / "den.flb"), "--snr-in", "5",
+                      "--seed", "1")
+    assert rc == 0 and seen == [True]
+    # the SNRs the complex path printed for this input and seed
+    assert text.strip().splitlines()[1] == "5.0000,11.7435"
+
+
 def test_denoise_zero_sigma_passthrough(tmp_path, capsys):
     clean = _synth(tmp_path, capsys, L="16")
     out = tmp_path / "den.flb"

@@ -52,6 +52,14 @@ def test_round_trip(LP):
     assert np.max(np.abs(back - f)) < 1e-9
 
 
+def test_real_round_trip_L256():
+    # the ceiling: a real grid at L=P=256 takes 268 MB, its complex twin 535 MB
+    sch = flag.build_ball_scheme(256, 256)
+    f = flag.random_coeffs(256, 256, seed=256, real=True).values
+    back = flag.flag_analysis(sch, flag.flag_synthesis(sch, f, real=True))
+    assert np.max(np.abs(back - f)) < 1e-10
+
+
 def test_round_trip_off_square_and_tau():
     sch = flag.build_ball_scheme(12, 20, tau=0.3)
     f = flag.random_coeffs(12, 20, seed=7).values
