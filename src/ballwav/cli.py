@@ -121,15 +121,19 @@ def _tiling_kernels(args, L, P):
     return tiling.build_tiling(params)
 
 
-def cmd_roundtrip(args):
+def _time_roundtrip(args, L, P, reps):
     if args.transform == "flag":
-        rec = time_flag_roundtrip(args.L, args.P, args.tau, args.seed)
-        tol = args.tol if args.tol is not None else 1e-10
-    else:
-        rec = time_flaglet_roundtrip(args.L, args.P, args.tau, args.seed,
-                                     multires=args.multires, lam=args.lam,
-                                     nu=args.nu, J0=args.J0, J0p=args.J0p)
-        tol = args.tol if args.tol is not None else 1e-9
+        return time_flag_roundtrip(L, P, args.tau, args.seed, reps=reps)
+    return time_flaglet_roundtrip(L, P, args.tau, args.seed, reps=reps,
+                                  multires=args.multires, lam=args.lam,
+                                  nu=args.nu, J0=args.J0, J0p=args.J0p)
+
+
+def cmd_roundtrip(args):
+    rec = _time_roundtrip(args, args.L, args.P, reps=1)
+    tol = args.tol
+    if tol is None:
+        tol = 1e-10 if args.transform == "flag" else 1e-9
     print(CSV_HEADER)
     print(rec.csv_row())
     if rec.epsilon_max > tol:
@@ -141,12 +145,12 @@ def cmd_roundtrip(args):
 
 def cmd_bench(args):
     if args.reps < 1:
-        raise UsageError("--reps must be >= 1")
+        raise ValueError("--reps must be >= 1")
     if args.Lmin > args.Lmax:
-        raise UsageError("--Lmin must not exceed --Lmax")
+        raise ValueError("--Lmin must not exceed --Lmax")
     for v in (args.Lmin, args.Lmax):
         if v < 4 or v & (v - 1):
-            raise UsageError("sweep bounds must be powers of two >= 4")
+            raise ValueError("sweep bounds must be powers of two >= 4")
     sizes = []
     q = args.Lmin
     while q <= args.Lmax:
@@ -155,13 +159,7 @@ def cmd_bench(args):
     print(CSV_HEADER)
     records = []
     for q in sizes:
-        if args.transform == "flag":
-            rec = time_flag_roundtrip(q, q, args.tau, args.seed, reps=args.reps)
-        else:
-            rec = time_flaglet_roundtrip(q, q, args.tau, args.seed,
-                                         reps=args.reps, multires=args.multires,
-                                         lam=args.lam, nu=args.nu,
-                                         J0=args.J0, J0p=args.J0p)
+        rec = _time_roundtrip(args, q, q, args.reps)
         records.append(rec)
         print(rec.csv_row())
     slope = fit_loglog_slope(sizes, [r.t_c_s for r in records])
@@ -275,10 +273,6 @@ def cmd_synth(args):
     return EXIT_OK
 
 
-class UsageError(Exception):
-    pass
-
-
 def _add_tiling_flags(p):
     p.add_argument("--lambda", dest="lam", type=float, default=2.0,
                    help="angular dilation factor (> 1)")
@@ -358,9 +352,6 @@ def main(argv=None):
     _set_threads(args.threads)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

@@ -31,6 +31,7 @@ itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -301,40 +302,46 @@ def _mu_moment(ell, j, k, tau):
     return pref * lead * tau**1.5 * F, cond
 
 
+def _fsum(row):
+    """Exactly rounded sum; a plain sum where fsum refuses (inf - inf, overflow)."""
+    try:
+        return math.fsum(row)
+    except (ValueError, OverflowError):
+        return row.sum()
+
+
+def _overlaps(bridge, ell, k, n):
+    """Overlaps j_lp(k) for p < n from one table of moments, with flags.
+
+    Row p sums c^p_j mu^l_{j+2}(k) over j <= p, exactly rounded. It is
+    flagged when the estimated relative error eps * sum|term| * cond / |sum|
+    exceeds 1e-8 (alternating-sum cancellation, growing with p and tau*k),
+    when its value is not finite, or when it sums to zero from nonzero terms.
+    """
+    mu, cond = np.array([_mu_moment(ell, j + 2, k, bridge.tau) for j in range(n)]).T
+    terms = bridge.cpj[:n, :n] * np.where(np.tri(n, dtype=bool), mu, 0.0)
+    total = np.array([_fsum(row) for row in terms])
+    abs_total = np.multiply(np.abs(terms), cond, out=np.zeros_like(terms),
+                            where=terms != 0.0).sum(axis=1)
+    p = np.arange(n)
+    values = total / np.sqrt((p + 1.0) * (p + 2.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        loss = np.finfo(float).eps * abs_total / np.abs(total) > 1e-8
+    flagged = np.where(total == 0.0, abs_total > 0.0, ~np.isfinite(values) | loss)
+    return values, flagged
+
+
 def jlp(bridge, ell, p, k, return_flag=False):
     """Overlap of radial basis order p with the spherical Bessel j_l(k r).
 
-    Compensated summation over the bridge coefficients; when return_flag is
-    true, also returns whether the estimated relative error exceeds 1e-8
-    (alternating-sum cancellation, growing with p and tau*k).
+    When return_flag is true, also returns the precision flag of _overlaps.
     """
     if not (0 <= ell < bridge.L and 0 <= p < bridge.P):
         raise ValueError("(ell, p) out of bridge range")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    total = 0.0
-    comp = 0.0
-    abs_total = 0.0
-    for j in range(p + 1):
-        mu, cond = _mu_moment(ell, j + 2, k, bridge.tau)
-        term = bridge.cpj[p, j] * mu
-        if term != 0.0:
-            abs_total += abs(term) * cond
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    norm = 1.0 / np.sqrt((p + 1.0) * (p + 2.0))
-    value = norm * total
-    if not return_flag:
-        return value
-    if total == 0.0:
-        flagged = abs_total > 0.0
-    else:
-        flagged = not np.isfinite(value) or (
-            np.finfo(float).eps * abs_total / abs(total) > 1e-8
-        )
-    return value, flagged
+    values, flagged = _overlaps(bridge, ell, k, p + 1)
+    return (values[p], bool(flagged[p])) if return_flag else values[p]
 
 
 @dataclass(frozen=True)
@@ -362,9 +369,8 @@ def fourier_bessel(bridge, coeffs, ks):
     jl = np.empty((L, P, ks.size))
     fl = np.empty((L, P, ks.size), dtype=bool)
     for ell in range(L):
-        for p in range(P):
-            for ik, k in enumerate(ks):
-                jl[ell, p, ik], fl[ell, p, ik] = jlp(bridge, ell, p, k, return_flag=True)
+        for ik, k in enumerate(ks):
+            jl[ell, :, ik], fl[ell, :, ik] = _overlaps(bridge, ell, k, P)
     vals = np.sqrt(2.0 / np.pi) * np.einsum("pl,lpk->lk", fv, jl[ell_of])
     contributes = (np.abs(fv.T) > 0)[:, :, None]
     flagged = np.any(contributes & fl[ell_of], axis=1)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -145,8 +145,8 @@ class TilingParams:
     """Dilations, scale range, and band-limits of one tiling.
 
     lam and nu are the angular and radial dilation factors (the former is
-    spelled lam because of the Python keyword). J and Jp are the largest
-    scales, fixed by the band-limits; construct via make_tiling_params.
+    spelled lam because of the Python keyword). J and Jp, the largest
+    scales, follow from the dilations and band-limits.
     """
 
     lam: float
@@ -155,22 +155,24 @@ class TilingParams:
     J0p: int
     L: int
     P: int
-    J: int
-    Jp: int
 
     def __post_init__(self):
         if self.lam <= 1.0 or self.nu <= 1.0:
             raise ValueError("dilation factors must exceed 1")
         if self.L < 2 or self.P < 2:
             raise ValueError("band-limits must be >= 2")
-        if self.J != _ceil_log(self.lam, self.L - 1):
-            raise ValueError("J inconsistent with band-limit")
-        if self.Jp != _ceil_log(self.nu, self.P - 1):
-            raise ValueError("Jp inconsistent with band-limit")
         if not 0 <= self.J0 < self.J:
             raise ValueError("J0 must satisfy 0 <= J0 < J")
         if not 0 <= self.J0p < self.Jp:
             raise ValueError("J0p must satisfy 0 <= J0p < Jp")
+
+    @cached_property
+    def J(self):
+        return _ceil_log(self.lam, self.L - 1)
+
+    @cached_property
+    def Jp(self):
+        return _ceil_log(self.nu, self.P - 1)
 
     @property
     def scales(self):
@@ -180,15 +182,9 @@ class TilingParams:
 
 
 def make_tiling_params(lam, nu, L, P, J0=0, J0p=0):
-    """TilingParams with the max scales derived from the band-limits."""
-    if lam <= 1.0 or nu <= 1.0:
-        raise ValueError("dilation factors must exceed 1")
-    if L < 2 or P < 2:
-        raise ValueError("band-limits must be >= 2")
-    J = _ceil_log(lam, L - 1)
-    Jp = _ceil_log(nu, P - 1)
+    """TilingParams with its arguments cast to float and int."""
     return TilingParams(lam=float(lam), nu=float(nu), J0=int(J0), J0p=int(J0p),
-                        L=int(L), P=int(P), J=J, Jp=Jp)
+                        L=int(L), P=int(P))
 
 
 @dataclass(frozen=True)

@@ -72,6 +72,11 @@ def test_jlp_flags_cancellation_loss():
     # a benign case stays unflagged
     _, ok = flag.jlp(bridge, 0, 3, 1.0, return_flag=True)
     assert not ok
+    # moments that overflow to +-inf give a flagged value, not an error
+    big = flag.build_bessel_bridge(1, 150)
+    with np.errstate(over="ignore", invalid="ignore"):
+        val, flagged = flag.jlp(big, 0, 149, 0.5, return_flag=True)
+    assert flagged and not np.isfinite(val)
 
 
 def test_jlp_argument_errors():
@@ -133,3 +138,24 @@ def test_fourier_bessel_validation():
         flag.fourier_bessel(bridge, np.zeros((2, 4), dtype=complex), [-1.0])
     with pytest.raises(ValueError):
         flag.fourier_bessel(bridge, np.zeros((2, 4), dtype=complex), [np.nan])
+
+
+def test_fourier_bessel_matches_per_entry_jlp():
+    # every (l, m) output against its own sum over p of single jlp overlaps
+    L, P, ks = 6, 24, [0.5, 5.0]
+    bridge = flag.build_bessel_bridge(L, P)
+    c = flag.random_coeffs(L, P, 3).values
+    out = flag.fourier_bessel(bridge, c, ks)
+    table = {(ell, ik): [flag.jlp(bridge, ell, p, k, return_flag=True)
+                         for p in range(P)]
+             for ell in range(L) for ik, k in enumerate(ks)}
+    ell_of, _ = flag.sht._lm_arrays(L)
+    for lm, ell in enumerate(ell_of):
+        for ik in range(len(ks)):
+            vals, flags = map(np.array, zip(*table[ell, ik]))
+            terms = c[:, lm] * vals
+            expect = math.sqrt(2.0 / math.pi) * terms.sum()
+            scale = math.sqrt(2.0 / math.pi) * np.abs(terms).sum()
+            assert abs(out.values[lm, ik] - expect) <= 1e-12 * scale
+            assert out.flagged[lm, ik] == np.any(flags[c[:, lm] != 0])
+    assert out.flagged.any() and not out.flagged.all()

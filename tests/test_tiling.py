@@ -101,8 +101,8 @@ def test_params_validation():
         tiling.make_tiling_params(2.0, 2.0, 16, 16, J0=4)
     with pytest.raises(ValueError):
         tiling.make_tiling_params(2.0, 2.0, 16, 16, J0p=99)
-    # direct construction cannot smuggle in an inconsistent max scale
-    with pytest.raises(ValueError):
+    # the max scales are derived, so they cannot be passed in at all
+    with pytest.raises(TypeError):
         tiling.TilingParams(lam=2.0, nu=2.0, J0=0, J0p=0, L=16, P=16, J=3, Jp=4)
 
 
