@@ -302,14 +302,6 @@ def _mu_moment(ell, j, k, tau):
     return pref * lead * tau**1.5 * F, cond
 
 
-def _fsum(row):
-    """Exactly rounded sum; a plain sum where fsum refuses (inf - inf, overflow)."""
-    try:
-        return math.fsum(row)
-    except (ValueError, OverflowError):
-        return row.sum()
-
-
 def _overlaps(bridge, ell, k, n):
     """Overlaps j_lp(k) for p < n from one table of moments, with flags.
 
@@ -320,7 +312,9 @@ def _overlaps(bridge, ell, k, n):
     """
     mu, cond = np.array([_mu_moment(ell, j + 2, k, bridge.tau) for j in range(n)]).T
     terms = bridge.cpj[:n, :n] * np.where(np.tri(n, dtype=bool), mu, 0.0)
-    total = np.array([_fsum(row) for row in terms])
+    # fsum refuses inf - inf, which overflowing moments produce
+    total = np.array([math.fsum(row) if np.isfinite(row).all() else row.sum()
+                      for row in terms])
     abs_total = np.multiply(np.abs(terms), cond, out=np.zeros_like(terms),
                             where=terms != 0.0).sum(axis=1)
     p = np.arange(n)
