@@ -196,8 +196,16 @@ def unpack_samples(bf):
     return flag.BallSignal(scheme=scheme, values=bf.samples)
 
 
+def _file_tau(tau):
+    """tau as a float that from_bytes accepts; ValueError otherwise."""
+    tau = float(tau)
+    if not (np.isfinite(tau) and tau > 0):
+        raise ValueError("tau must be positive and finite, got %r" % tau)
+    return tau
+
+
 def pack_coeffs(coeffs, tau=1.0):
-    return BallFile(kind=KIND_COEFFS, L=coeffs.L, P=coeffs.P, tau=float(tau),
+    return BallFile(kind=KIND_COEFFS, L=coeffs.L, P=coeffs.P, tau=_file_tau(tau),
                     complex_payload=np.iscomplexobj(coeffs.values),
                     coeffs=coeffs.values)
 
@@ -213,7 +221,7 @@ def unpack_coeffs(bf):
 def pack_wavelets(ws, tau):
     cplx = any(map(np.iscomplexobj, [ws.scaling, *ws.wavelets.values()]))
     return BallFile(kind=KIND_WAVELETS, L=ws.params.L, P=ws.params.P,
-                    tau=float(tau), complex_payload=cplx,
+                    tau=_file_tau(tau), complex_payload=cplx,
                     lam=ws.params.lam, nu=ws.params.nu,
                     J0=ws.params.J0, J0p=ws.params.J0p, multires=ws.multires,
                     scaling=ws.scaling, wavelets=dict(ws.wavelets))

@@ -9,7 +9,7 @@ wavelet samples removes most noise while keeping sparse features.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,8 +26,9 @@ class NoiseModel:
     seed: int
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not (np.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError("sigma must be finite and nonnegative, got %r"
+                             % self.sigma)
 
 
 @dataclass(frozen=True)
@@ -37,6 +38,10 @@ class ThresholdPlan:
     profiles: dict
     multiplier: float = 3.0
     multires: bool = True
+
+    def __post_init__(self):
+        if not self.multiplier >= 0:
+            raise ValueError("multiplier must be nonnegative, got %r" % self.multiplier)
 
 
 def generate_noise(model):
@@ -68,22 +73,19 @@ def predict_sigma(kernels, model, scheme, multires=True):
     """Noise standard deviation of each wavelet scale at its radial nodes.
 
     The m-sum over spherical harmonics collapses, leaving
-    sigma^2 sum_{l,p} (p/P)^2 psi_{lp}^2 K_p(r)^2 per scale.
+    sigma^2 sum_{l,p} (p/P)^2 psi_{lp}^2 K_p(r)^2 per scale. K_p at the nodes
+    is the node_synthesis of the scale's own radial scheme; its P covers
+    every p at which the scale's kernel is nonzero.
     """
     prm = kernels.params
     if prm.L != model.L or prm.P != model.P or scheme.P != model.P:
         raise ValueError("band-limits of kernels, model, and scheme disagree")
     ramp2 = (np.arange(model.P) / model.P) ** 2
     profiles = {}
-    squared = {}  # (S * S) per radial node count; every scale shares tau
     for j, jp in prm.scales:
-        radial = flaglet.scale_scheme(scheme, prm, j, jp, multires).radial
-        if radial.P not in squared:
-            S = laguerre.synthesis_matrix(scheme.radial, radial.nodes)
-            squared[radial.P] = S * S
-        psi2 = kernels.psi_scale(j, jp) ** 2
-        weight = ramp2 * psi2.sum(axis=0)
-        profiles[(j, jp)] = model.sigma * np.sqrt(squared[radial.P] @ weight)
+        S = flaglet.scale_scheme(scheme, prm, j, jp, multires).radial.node_synthesis
+        weight = ramp2 * (kernels.psi_scale(j, jp) ** 2).sum(axis=0)
+        profiles[(j, jp)] = model.sigma * np.sqrt((S * S) @ weight[:S.shape[1]])
     return ThresholdPlan(profiles=profiles, multires=multires)
 
 
@@ -152,6 +154,8 @@ def make_sparse_signal(scheme, kernels, n_atoms=6, seed=0):
 
 def scale_noise_to_snr(signal, noise, target_db):
     """Rescale a noise realization so signal + noise sits at target_db."""
+    if np.isnan(target_db):
+        raise ValueError("target SNR must not be NaN")
     s = signal.values
     n = noise.values
     power = np.sum(np.abs(n) ** 2)
@@ -174,9 +178,8 @@ def denoise_pipeline(scheme, kernels, clean, noisy, model, multires=True,
     """
     coeffs = flaglet.analysis_from_coeffs(scheme, noisy.values, kernels,
                                           multires=multires, real=noisy.real)
-    plan = predict_sigma(kernels, model, scheme, multires=multires)
-    plan = ThresholdPlan(profiles=plan.profiles, multiplier=multiplier,
-                         multires=plan.multires)
+    plan = replace(predict_sigma(kernels, model, scheme, multires=multires),
+                   multiplier=multiplier)
     kept = hard_threshold(coeffs, plan)
     den = flaglet.synthesis_to_coeffs(kept, kernels, scheme)
     return (flag.FlagCoeffs(L=scheme.L, P=scheme.P, values=den, real=noisy.real),

@@ -216,7 +216,7 @@ def random_coeffs(L, P, seed, real=False):
 
 def _cpj_table(P):
     """c^p_j for j <= p < P, by the recurrence; zero above the diagonal."""
-    C = np.zeros((P, P + 2))
+    C = np.zeros((P, P))
     for p in range(P):
         C[p, 0] = (p + 1) * (p + 2) / 2.0
         for j in range(1, p + 1):

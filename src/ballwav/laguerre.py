@@ -158,14 +158,19 @@ def build_radial_scheme(P, tau=1.0):
         raise ValueError("P must be >= 1")
     if not (tau > 0 and np.isfinite(tau)):
         raise ValueError("tau must be positive and finite")
+    with np.errstate(over="ignore", under="ignore"):
+        up, down = np.float64(tau) ** 1.5, np.float64(tau) ** -1.5
+    if not (np.isfinite(up) and np.isfinite(down) and up > 0 and down > 0):
+        raise ValueError("tau**1.5 and tau**-1.5 must be finite and nonzero, "
+                         "got tau=%r" % tau)
     x = _nodes_unscaled(P)
     mant, ex2 = _khat_scaled(P + 2, x)
     logabs = _khat_logabs(mant, ex2)
     # w_i = x_i / ((P+1)(P+3) Khat_{P+1}(x_i)^2); exponentials cancelled analytically
     log_w = np.log(x) - np.log(P + 1.0) - np.log(P + 3.0) - 2.0 * logabs[P + 1]
     # M[p][i] = tau^3 w_i K_p(r_i), assembled in log space so every entry is finite
-    weighted = tau**1.5 * np.sign(mant[:P]) * np.exp(log_w[None, :] + logabs[:P])
-    node_synth = (tau**-1.5 * np.ldexp(mant[:P], ex2[:P])).T
+    weighted = up * np.sign(mant[:P]) * np.exp(log_w[None, :] + logabs[:P])
+    node_synth = (down * np.ldexp(mant[:P], ex2[:P])).T
     return RadialScheme(
         P=P,
         tau=float(tau),

@@ -117,9 +117,7 @@ def generators(lam, nu, t, tp):
 
 
 def _pow(base, n):
-    """base**n, exact when base is an integer-valued float."""
-    if n < 0:
-        return 1.0 / _pow(base, -n)
+    """base**n for n >= 0, exact when base is an integer-valued float."""
     if float(base).is_integer():
         return float(round(base) ** n)
     return float(base) ** n
@@ -193,12 +191,14 @@ class TilingKernels:
 
     Scale axes are offset by (J0, J0p); use psi_scale for absolute indices.
     Admissibility is checked at construction, so holding a TilingKernels is
-    proof of a tight frame.
+    proof of a tight frame; residual is the largest deviation of
+    4 pi/(2l+1) (phi^2 + sum psi^2) from one over all (l, p).
     """
 
     params: TilingParams
     psi: np.ndarray = field(repr=False)
     phi: np.ndarray = field(repr=False)
+    residual: float
 
     def psi_scale(self, j, jp):
         p = self.params
@@ -232,7 +232,7 @@ def build_tiling(params):
     worst = float(residual.max())
     if worst > 1e-10:
         raise ArithmeticError("admissibility residual %g exceeds 1e-10" % worst)
-    return TilingKernels(params=params, psi=psi, phi=phi)
+    return TilingKernels(params=params, psi=psi, phi=phi, residual=worst)
 
 
 def kernel_bandlimits(params, j, jp):

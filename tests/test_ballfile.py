@@ -197,6 +197,15 @@ def test_unpack_wavelets_rejects_part_on_wrong_grid():
         ballfile.unpack_wavelets(ballfile.from_bytes(ballfile.to_bytes(bf)))
 
 
+@pytest.mark.parametrize("tau", [float("nan"), float("inf"), 0.0, -1.0])
+def test_pack_rejects_tau_the_reader_refuses(tau):
+    with pytest.raises(ValueError, match="tau"):
+        ballfile.pack_coeffs(flag.random_coeffs(4, 4, seed=0), tau)
+    _, _, w = _wavelet_set(False)
+    with pytest.raises(ValueError, match="tau"):
+        ballfile.pack_wavelets(w, tau)
+
+
 def test_write_is_deterministic(tmp_path):
     scheme, _, w = _wavelet_set(False)
     bf = ballfile.pack_wavelets(w, scheme.tau)

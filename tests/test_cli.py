@@ -36,6 +36,28 @@ def test_roundtrip_impossible_tolerance(capsys):
     assert "tolerance exceeded" in err
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--tol", "nan"),
+    ("--tol", "-1"),
+    # tau**1.5 or tau**-1.5 leaves double range
+    ("--tau", "1e250"),
+    ("--tau", "1e-250"),
+])
+def test_roundtrip_bad_numeric_argument_is_usage_error(capsys, option, value):
+    rc, out, err = run(capsys, "roundtrip", "--L", "4", "--P", "4", option, value)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ")
+
+
+def test_roundtrip_nan_error_exceeds_tolerance(capsys, monkeypatch):
+    rec = cli.BenchRecord(L=4, P=4, N_samples=112, t_synthesis_s=0.0,
+                          t_analysis_s=0.0, t_c_s=0.0, epsilon_max=float("nan"))
+    monkeypatch.setattr(cli, "time_flag_roundtrip", lambda *args, **kwargs: rec)
+    rc, _, err = run(capsys, "roundtrip", "--L", "4", "--P", "4")
+    assert rc == 1
+    assert "tolerance exceeded" in err
+
+
 def test_roundtrip_bad_band_limit(capsys):
     rc, _, err = run(capsys, "roundtrip", "--transform", "flag",
                      "--L", "0", "--P", "8")
@@ -77,6 +99,16 @@ def test_synth_writes_coefficient_file(tmp_path, capsys):
                     "--P", "8", "--out", str(out2))
     assert rc2 == 0
     assert ballfile.read_ballfile(out2).kind == ballfile.KIND_COEFFS
+
+
+@pytest.mark.parametrize("tau", ["nan", "0"])
+def test_synth_rejects_tau_the_reader_refuses(tmp_path, capsys, tau):
+    out = tmp_path / "sig.flb"
+    rc, text, err = run(capsys, "synth", "--kind", "gaussian", "--L", "8",
+                        "--P", "8", "--tau", tau, "--out", str(out))
+    assert rc == 2 and text == ""
+    assert err.startswith("error: ")
+    assert not out.exists()
 
 
 def _synth(tmp_path, capsys, L="32"):
@@ -194,6 +226,23 @@ def test_denoise_header_values_exit_code(tmp_path, capsys, L, P, tau, code):
                      "--output", str(tmp_path / "o.flb"))
     assert rc == code
     assert ("format error" in err) == (code == 3)
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--sigma", "nan"),
+    ("--sigma", "inf"),
+    ("--snr-in", "nan"),
+    ("--multiplier", "nan"),
+    ("--multiplier", "-1"),
+])
+def test_denoise_bad_numeric_argument_is_usage_error(tmp_path, capsys, option, value):
+    clean = _synth(tmp_path, capsys, L="8")
+    out = tmp_path / "den.flb"
+    rc, text, err = run(capsys, "denoise", "--input", str(clean),
+                        "--output", str(out), option, value)
+    assert rc == 2 and text == ""
+    assert err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_denoise_missing_input_is_format_exit(tmp_path, capsys):

@@ -191,6 +191,10 @@ def test_input_validation():
         laguerre.build_radial_scheme(4, tau=0.0)
     with pytest.raises(ValueError):
         laguerre.build_radial_scheme(4, tau=float("inf"))
+    # tau**1.5 or tau**-1.5 would overflow or flush to zero
+    for tau in (1e250, 1e-250):
+        with pytest.raises(ValueError, match="tau"):
+            laguerre.build_radial_scheme(4, tau=tau)
     sch = laguerre.build_radial_scheme(4)
     with pytest.raises(ValueError):
         laguerre.radial_analysis(sch, np.zeros(5))

@@ -139,6 +139,7 @@ def test_admissibility_identity(lam, nu):
     total = kern.phi**2 + np.sum(kern.psi**2, axis=(0, 1))
     residual = 4.0 * np.pi / (2.0 * ells[:, None] + 1.0) * total - 1.0
     assert np.max(np.abs(residual)) < 1e-10
+    assert kern.residual == np.max(np.abs(residual))
 
 
 def test_psi_matches_generator_products():
