@@ -132,6 +132,8 @@ def make_sparse_signal(scheme, kernels, n_atoms=6, seed=0):
     coefficients of the result are concentrated near n_atoms grid sites;
     the construction is conjugate-symmetric, i.e. a real signal.
     """
+    if n_atoms < 1:
+        raise ValueError("a sparse signal needs at least one atom, got %r" % n_atoms)
     prm = kernels.params
     rng = np.random.default_rng(seed)
     fac = flag.sqrt4pi_factor(scheme.L)
@@ -161,7 +163,12 @@ def scale_noise_to_snr(signal, noise, target_db):
     power = np.sum(np.abs(n) ** 2)
     if power == 0.0:
         raise ValueError("noise realization is identically zero")
-    alpha = np.sqrt(np.sum(np.abs(s) ** 2) / (power * 10.0 ** (target_db / 10.0)))
+    with np.errstate(over="ignore", divide="ignore"):
+        alpha = np.sqrt(np.sum(np.abs(s) ** 2)
+                        / (power * np.power(10.0, target_db / 10.0)))
+    if not (np.isfinite(alpha) and alpha > 0):
+        raise ValueError("target SNR %r dB needs a noise scale of %r, not a finite "
+                         "positive number" % (target_db, float(alpha)))
     return flag.FlagCoeffs(L=noise.L, P=noise.P, values=alpha * n, real=noise.real), float(alpha)
 
 

@@ -158,11 +158,14 @@ def build_radial_scheme(P, tau=1.0):
         raise ValueError("P must be >= 1")
     if not (tau > 0 and np.isfinite(tau)):
         raise ValueError("tau must be positive and finite")
+    # the basis scales by tau**-1.5 and the quadrature weights by tau**3;
+    # finite nonzero tau**3 and tau**-3 keep tau**1.5 and tau**-1.5 so too
     with np.errstate(over="ignore", under="ignore"):
-        up, down = np.float64(tau) ** 1.5, np.float64(tau) ** -1.5
-    if not (np.isfinite(up) and np.isfinite(down) and up > 0 and down > 0):
-        raise ValueError("tau**1.5 and tau**-1.5 must be finite and nonzero, "
+        cubes = np.float64(tau) ** 3, np.float64(tau) ** -3
+    if not all(np.isfinite(c) and c > 0 for c in cubes):
+        raise ValueError("tau**3 and tau**-3 must be finite and nonzero, "
                          "got tau=%r" % tau)
+    up, down = np.float64(tau) ** 1.5, np.float64(tau) ** -1.5
     x = _nodes_unscaled(P)
     mant, ex2 = _khat_scaled(P + 2, x)
     logabs = _khat_logabs(mant, ex2)

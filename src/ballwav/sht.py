@@ -2,8 +2,9 @@
 
 Colatitude integrals use an L-node Gauss-Legendre rule in cos(theta), exact
 for the degree-(2L-2) Legendre products a band-limit-L transform needs, and
-longitude uses a length-(2L-1) FFT, the minimal count resolving |m| <= L-1.
-Coefficients are packed in (l, m) order at index l*l + l + m.
+longitude uses a length-(2L-1) FFT, the minimal count resolving |m| <= L-1,
+or on the real path at low band-limits a direct DFT (below). Coefficients
+are packed in (l, m) order at index l*l + l + m.
 
 Associated Legendre values come from the fully normalized ascending-l
 recurrence with the Condon-Shortley phase; the sectorial seed is assembled in
@@ -23,16 +24,22 @@ Lc from its input; sht_forward takes it as an output band-limit.
 
 A real signal has conjugate-symmetric coefficients, f_{l,-m} = (-1)^m
 conj(f_lm), so only the m >= 0 half needs computing. sht_forward takes that
-path for any float grid: an rfft, then one batched matmul of the table
-against the (re, im) pairs of the bins, laid out (m, theta, batch), so the
+path for any float grid: the bins m = 0..Lc-1, then one batched matmul of
+the table against their (re, im) pairs, laid out (m, theta, batch), so the
 real table is never promoted to complex; the m < 0 half is filled by
 symmetry. A float dtype marks a real grid, but nothing marks real
 coefficients, so the real inverse is taken only where a caller says so:
 flag_synthesis with real=True. It reads the m >= 0 half, contracts it the
-same way and ends with an irfft, returning a float grid. check_real guards
-that claim, raising ArithmeticError when the coefficients are not
-conjugate-symmetric, since the m < 0 half would otherwise be dropped
+same way and ends with an inverse real DFT, returning a float grid.
+check_real guards that claim, raising ArithmeticError when the coefficients
+are not conjugate-symmetric, since the m < 0 half would otherwise be dropped
 silently. sht_inverse itself is the complex path.
+
+On the real path the longitude step in either direction is, up to
+Lc = _DFT_MAX_BINS, one float matmul of the rows against a cached
+(n_phi, 2Lc) or (2Lc, n_phi) cos/sin table, costing n_phi * 2Lc per row;
+above that measured crossover an rfft or irfft of all n_phi longitudes is
+cheaper.
 
 The complex transforms stream: leading axes are flattened into rows (grids
 or coefficient rows), and the work runs over blocks of rows holding at most
@@ -86,17 +93,27 @@ def _lm_arrays(L):
 
 def check_real(coeffs):
     """Raise ArithmeticError unless packed coefficients (..., L*L) are those of
-    a real signal: f_{l,-m} = (-1)^m conj(f_lm) to 1e-10 max(1, max|f|)."""
+    a real signal: f_{l,-m} = (-1)^m conj(f_lm) to 1e-10 max(1, max|f|).
+
+    Rows are checked over blocks of _BLOCK_BYTES, so the temporaries stay
+    within a few budgets; the maxima, and so the verdict, are those of one
+    pass over all rows."""
     vals = np.asarray(coeffs)
-    (i_p, r_p, _), (i_n, r_n, _, sign) = _halves(packed_bandlimit(vals))
+    L = packed_bandlimit(vals)
+    (i_p, r_p, _), (i_n, r_n, _, sign) = _halves(L)
     # order m < 0 at i_n mirrors order |m| = r_n + 1 at i_n + 2|m|; m = 0
     # mirrors itself
-    zero = vals[..., i_p[r_p == 0]]
-    resid = max(float(np.max(np.abs(zero - np.conj(zero)))),
-                float(np.max(np.abs(vals[..., i_n]
-                                    - sign * np.conj(vals[..., i_n + 2 * r_n + 2])),
-                             initial=0.0)))
-    bound = 1e-10 * max(1.0, float(np.max(np.abs(vals))))
+    i_z, i_m = i_p[r_p == 0], i_n + 2 * r_n + 2
+    rows = vals.reshape(-1, L * L)
+    zero, neg, peak = [], [], []
+    for s in _blocks(len(rows), 16 * L * L):
+        z = rows[s, i_z]
+        zero.append(np.max(np.abs(z - np.conj(z))))
+        neg.append(np.max(np.abs(rows[s, i_n] - sign * np.conj(rows[s, i_m])),
+                          initial=0.0))
+        peak.append(np.max(np.abs(rows[s])))
+    resid = max(float(np.max(zero)), float(np.max(neg)))
+    bound = 1e-10 * max(1.0, float(np.max(peak)))
     if resid > bound:
         raise ArithmeticError(
             "coefficients are not those of a real signal: conjugate-symmetry "
@@ -207,6 +224,34 @@ def _blocks(n, item_bytes):
     return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
+# Largest band-limit whose real longitude step is a direct DFT of its bins
+# rather than an FFT of all n_phi longitudes. On one thread the direct step
+# took 0.05-0.93 of the FFT's time at every Lc <= 32 swept (n_phi from 15 to
+# 1025), but 1.1-1.6 at Lc = 48-64 for smooth n_phi such as 135, 225 and 243.
+_DFT_MAX_BINS = 32
+
+
+@lru_cache(maxsize=64)
+def _dft_tables(F, Lc):
+    """Direct real DFT tables between F longitudes and bins m = 0..Lc-1.
+
+    E (F, 2Lc) maps a row of samples to the (re, im) pairs of its rfft bins:
+    cos and -sin of 2 pi m k / F. D (2Lc, F) maps the (re, im) pairs of
+    bins 0..Lc-1 back to samples, as F * irfft does, weighting m = 0 by 1
+    and m > 0 by 2 for the conjugate bins. Angles are reduced exactly, as
+    (m k mod F) / F, so their rounding does not grow with m k.
+    """
+    m, k = np.arange(Lc), np.arange(F)
+    angle = 2.0 * np.pi * (np.outer(k, m) % F) / F
+    E = np.empty((F, Lc, 2))
+    E[..., 0], E[..., 1] = np.cos(angle), -np.sin(angle)
+    E = E.reshape(F, 2 * Lc)
+    D = np.where(np.arange(2 * Lc) < 2, 1.0, 2.0)[:, None] * E.T
+    for a in (E, D):
+        a.flags.writeable = False  # cached: every caller shares them
+    return E, D
+
+
 def _by_rows(scheme, body, rows, out, Lc):
     """body(scheme, rows[s], out[s], Lc) over blocks s of the leading axis."""
     for s in _blocks(len(rows), 16 * scheme.n_theta * scheme.n_phi):
@@ -256,16 +301,20 @@ def _forward_rows(scheme, vals, out, Lc):
 
 def _forward_real(scheme, vals, Lc):
     """sht_forward of a float grid: only the orders m >= 0 are computed, from
-    rfft bins 0..Lc-1; the m < 0 half follows by conjugate symmetry."""
+    longitude bins 0..Lc-1; the m < 0 half follows by conjugate symmetry."""
+    F = scheme.n_phi
     # the (re, im) view below needs complex128 bins, so a float64 grid
-    vals = np.asarray(vals, dtype=float)
+    rows = np.asarray(vals, dtype=float).reshape(-1, F)
     batch = vals.shape[:-2]
-    G = np.fft.rfft(vals.reshape((-1,) + scheme.grid_shape), axis=-1)
+    if Lc <= _DFT_MAX_BINS:
+        G = (rows @ _dft_tables(F, Lc)[0]).view(complex)
+    else:
+        G = np.fft.rfft(rows, axis=-1)[:, :Lc]
     # m-major (m, t, batch) layout: each order is one float matmul of its
     # table block against the (re, im) pairs of its bins
-    X = np.ascontiguousarray(G[..., :Lc].transpose(2, 1, 0))
+    X = np.ascontiguousarray(G.reshape(-1, scheme.n_theta, Lc).transpose(2, 1, 0))
     del G
-    X *= (scheme.theta_weights * (2.0 * np.pi / scheme.n_phi))[:, None]
+    X *= (scheme.theta_weights * (2.0 * np.pi / F))[:, None]
     Y = np.matmul(scheme._plm[:Lc, :Lc], X.view(float)).view(complex)
     del X
     (i_p, r_p, l_p), (i_n, r_n, l_n, sign) = _halves(Lc)
@@ -332,12 +381,15 @@ def _inverse_real(scheme, vals):
     H = np.matmul(scheme._plm[:Lc, :Lc].transpose(0, 2, 1),
                   half.view(float)).view(complex)
     del half
-    spec = np.zeros((flat.shape[0], scheme.n_theta, scheme.L), dtype=complex)
-    spec[..., :Lc] = H.transpose(2, 1, 0)
+    # (batch, t, m) bins, in place of the rfft spectrum's first Lc bins
+    spec = np.ascontiguousarray(H.transpose(2, 1, 0))
     del H
-    out = np.fft.irfft(spec, n=scheme.n_phi, axis=-1)
-    del spec
-    out *= scheme.n_phi
+    F = scheme.n_phi
+    if Lc <= _DFT_MAX_BINS:
+        out = spec.view(float).reshape(-1, 2 * Lc) @ _dft_tables(F, Lc)[1]
+    else:
+        out = np.fft.irfft(spec, n=F, axis=-1)
+        out *= F
     return out.reshape(batch + scheme.grid_shape)
 
 

@@ -111,6 +111,16 @@ def test_synth_rejects_tau_the_reader_refuses(tmp_path, capsys, tau):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("atoms", ["0", "-2"])
+def test_synth_rejects_a_sparse_signal_without_atoms(tmp_path, capsys, atoms):
+    out = tmp_path / "sig.flb"
+    rc, text, err = run(capsys, "synth", "--kind", "sparse", "--L", "8",
+                        "--P", "8", "--atoms=" + atoms, "--out", str(out))
+    assert rc == 2 and text == ""
+    assert err.startswith("error: ")
+    assert not out.exists()
+
+
 def _synth(tmp_path, capsys, L="32"):
     path = tmp_path / "clean.flb"
     rc, _, _ = run(capsys, "synth", "--kind", "sparse", "--L", L, "--P", L,
@@ -232,14 +242,18 @@ def test_denoise_header_values_exit_code(tmp_path, capsys, L, P, tau, code):
     ("--sigma", "nan"),
     ("--sigma", "inf"),
     ("--snr-in", "nan"),
+    # the noise scale would overflow or flush to zero
+    ("--snr-in", "1e6"),
+    ("--snr-in", "-1e6"),
     ("--multiplier", "nan"),
     ("--multiplier", "-1"),
 ])
 def test_denoise_bad_numeric_argument_is_usage_error(tmp_path, capsys, option, value):
     clean = _synth(tmp_path, capsys, L="8")
     out = tmp_path / "den.flb"
+    # option=value, since argparse reads a bare -1e6 as an option name
     rc, text, err = run(capsys, "denoise", "--input", str(clean),
-                        "--output", str(out), option, value)
+                        "--output", str(out), "%s=%s" % (option, value))
     assert rc == 2 and text == ""
     assert err.startswith("error: ")
     assert not out.exists()

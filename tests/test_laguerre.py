@@ -191,8 +191,9 @@ def test_input_validation():
         laguerre.build_radial_scheme(4, tau=0.0)
     with pytest.raises(ValueError):
         laguerre.build_radial_scheme(4, tau=float("inf"))
-    # tau**1.5 or tau**-1.5 would overflow or flush to zero
-    for tau in (1e250, 1e-250):
+    # tau**3 or tau**-3 would overflow or flush to zero, and at 1e250 and
+    # 1e-250 so would tau**1.5 or tau**-1.5
+    for tau in (1e250, 1e-250, 1e150, 1e-150):
         with pytest.raises(ValueError, match="tau"):
             laguerre.build_radial_scheme(4, tau=tau)
     sch = laguerre.build_radial_scheme(4)

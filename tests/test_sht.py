@@ -191,10 +191,29 @@ def test_shape_and_band_limit_errors():
             sht.sht_forward(sch, np.zeros((4, 7)), Lc)
 
 
+# band-limits on either side of the real path's direct-DFT crossover, and
+# low and full band-limits at L = 64 (n_phi = 127) and L = 128 (n_phi = 255)
+_CROSSOVER = [(128, sht._DFT_MAX_BINS), (128, sht._DFT_MAX_BINS + 1),
+              (64, 2), (64, 64), (128, 8), (128, 128)]
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Count the calls of np.fft.rfft and np.fft.irfft: the real path's
+    longitude step calls one of them only above the crossover."""
+    calls = []
+    for name in ("rfft", "irfft"):
+        def spy(*args, _fn=getattr(np.fft, name), **kwargs):
+            calls.append(_fn.__name__)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, spy)
+    return calls
+
+
 @pytest.mark.parametrize("L,Lc", [(1, 1), (5, 1), (5, 2), (8, 5), (8, 8), (16, 7),
                                   (2, 1), (2, 2), (5, 5), (16, 16), (33, 16),
-                                  (33, 33)])
-def test_forward_band_limit_is_a_prefix(L, Lc):
+                                  (33, 33)] + _CROSSOVER)
+def test_forward_band_limit_is_a_prefix(L, Lc, fft_calls):
     sch = sht.build_angular_scheme(L)
     rng = np.random.default_rng(L + Lc)
     grid = (rng.standard_normal((3,) + sch.grid_shape)
@@ -205,22 +224,27 @@ def test_forward_band_limit_is_a_prefix(L, Lc):
         assert np.max(np.abs(out - sht.sht_forward(sch, g)[:, :Lc * Lc])) < 1e-12
     # a float grid takes the real path: the m >= 0 half, m < 0 by symmetry;
     # a float32 grid, batched or single, is read as float64
+    fft_calls.clear()
     for g in (grid.real, grid.real.astype(np.float32), grid.real[0].astype(np.float32)):
         real_path = sht.sht_forward(sch, g, Lc)
         complex_path = sht.sht_forward(sch, g.astype(complex), Lc)
         assert real_path.dtype == np.complex128
         assert np.max(np.abs(real_path - complex_path)) < 1e-12
+    # a direct DFT of the Lc bins up to the crossover, an rfft above it
+    assert fft_calls == ([] if Lc <= sht._DFT_MAX_BINS else ["rfft"] * 3)
 
 
 @pytest.mark.parametrize("L,Lc", [(1, 1), (2, 1), (2, 2), (5, 2), (5, 5),
-                                  (16, 7), (16, 16), (33, 16), (33, 33)])
-def test_real_inverse_matches_complex(L, Lc):
+                                  (16, 7), (16, 16), (33, 16), (33, 33)]
+                         + _CROSSOVER)
+def test_real_inverse_matches_complex(L, Lc, fft_calls):
     from ballwav import flag
 
     sch = sht.build_angular_scheme(L)
     # three conjugate-symmetric coefficient rows: a batch axis
     f = flag.random_coeffs(Lc, 3, seed=L + Lc, real=True).values
     grid = sht._inverse_real(sch, f)
+    assert fft_calls == ([] if Lc <= sht._DFT_MAX_BINS else ["irfft"])
     assert grid.dtype == np.float64 and grid.shape == (3,) + sch.grid_shape
     assert np.max(np.abs(grid - sht.sht_inverse(sch, f))) < 1e-12
 
@@ -239,3 +263,37 @@ def test_check_real_bound():
         g[1, sht.lm_index(ell, m)] += 10.0 * bound * 1j
         with pytest.raises(ArithmeticError, match="real signal"):
             sht.check_real(g)
+
+
+def test_check_real_runs_in_blocks_of_rows(monkeypatch):
+    import tracemalloc
+
+    from ballwav import flag
+
+    L = P = 32
+    f = flag.random_coeffs(L, P, seed=4, real=True).values
+    g = f.copy()
+    g[P - 1, sht.lm_index(7, -3)] += 1e-6j  # in the last block
+
+    def verdict(c):
+        try:
+            sht.check_real(c)
+        except ArithmeticError as exc:
+            return str(exc)
+        return None
+
+    one_block = verdict(g)
+    assert verdict(f) is None and "real signal" in one_block
+    budget = 4 * 16 * L * L  # four coefficient rows of 16 kB
+    monkeypatch.setattr(sht, "_BLOCK_BYTES", budget)
+    assert len(sht._blocks(P, 16 * L * L)) == P // 4
+    assert verdict(f) is None and verdict(g) == one_block
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sht.check_real(f)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # the coefficients take 0.5 MB; in one pass the temporaries took 1.9 times that
+    assert peak <= 4 * budget
