@@ -219,9 +219,8 @@ def unpack_coeffs(bf):
 
 
 def pack_wavelets(ws, tau):
-    cplx = any(map(np.iscomplexobj, [ws.scaling, *ws.wavelets.values()]))
     return BallFile(kind=KIND_WAVELETS, L=ws.params.L, P=ws.params.P,
-                    tau=_file_tau(tau), complex_payload=cplx,
+                    tau=_file_tau(tau), complex_payload=not ws.real,
                     lam=ws.params.lam, nu=ws.params.nu,
                     J0=ws.params.J0, J0p=ws.params.J0p, multires=ws.multires,
                     scaling=ws.scaling, wavelets=dict(ws.wavelets))

@@ -45,27 +45,13 @@ class ThresholdPlan:
 
 
 def generate_noise(model):
-    """One noise realization in coefficient space, conjugate-symmetric.
-
-    Stream order: a Philox generator seeded with model.seed draws two
-    (P, L*L) standard-normal blocks back to back; the first supplies the
-    m = 0 values and the real parts at m > 0, the second the imaginary
-    parts at m > 0. Negative m follows by symmetry, so the realization is
-    a real signal.
-    """
+    """One noise realization in coefficient space, conjugate-symmetric:
+    flag.random_coeffs(real=True) drawn from a Philox generator seeded with
+    model.seed, row p scaled by the ramp sigma p/P."""
     L, P = model.L, model.P
     rng = np.random.Generator(np.random.Philox(model.seed))
-    a = rng.standard_normal((P, L * L))
-    b = rng.standard_normal((P, L * L))
-    _, m_of = sht._lm_arrays(L)
-    ramp = model.sigma * (np.arange(P) / P)[:, None]
-    vals = np.zeros((P, L * L), dtype=complex)
-    zero = m_of == 0
-    vals[:, zero] = ramp * a[:, zero]
-    pos = np.where(m_of > 0)[0]
-    vals[:, pos] = ramp * (a[:, pos] + 1j * b[:, pos]) / np.sqrt(2.0)
-    neg = pos - 2 * m_of[pos]
-    vals[:, neg] = (-1.0) ** m_of[pos] * np.conj(vals[:, pos])
+    vals = flag.random_coeffs(L, P, rng, real=True).values
+    vals *= model.sigma * (np.arange(P) / P)[:, None]
     return flag.FlagCoeffs(L=L, P=P, values=vals, real=True)
 
 

@@ -196,7 +196,8 @@ def ball_convolve_axisym(f, h):
 
 
 def random_coeffs(L, P, seed, real=False):
-    """Unit-variance Gaussian coefficients; conjugate-symmetric when real."""
+    """Unit-variance Gaussian coefficients; conjugate-symmetric when real.
+    seed may be a Generator; the real parts are drawn before the imaginary."""
     rng = np.random.default_rng(seed)
     vals = (rng.standard_normal((P, L * L))
             + 1j * rng.standard_normal((P, L * L))) / np.sqrt(2.0)
@@ -204,9 +205,7 @@ def random_coeffs(L, P, seed, real=False):
         _, m_of = sht._lm_arrays(L)
         zero = m_of == 0
         vals[:, zero] = np.sqrt(2.0) * vals[:, zero].real
-        pos = np.where(m_of > 0)[0]
-        neg = pos - 2 * m_of[pos]
-        vals[:, neg] = (-1.0) ** m_of[pos] * np.conj(vals[:, pos])
+        sht._conj_fill(vals)
     return FlagCoeffs(L=L, P=P, values=vals, real=real)
 
 

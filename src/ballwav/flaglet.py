@@ -67,6 +67,11 @@ class WaveletCoeffSet:
     def scales(self):
         return self.params.scales
 
+    @property
+    def real(self):
+        """True when every part is a float array, as for a real signal."""
+        return not any(map(np.iscomplexobj, [self.scaling, *self.wavelets.values()]))
+
 
 def _check_match(scheme, kernels):
     prm = kernels.params
@@ -135,7 +140,6 @@ def flaglet_synthesis(coeffs, kernels, scheme):
     """Reconstruct the ball signal from a WaveletCoeffSet (exact round trip);
     it is a float grid when every part is a float array, whose coefficients
     the real path of flag_analysis makes conjugate-symmetric exactly."""
-    real = not any(map(np.iscomplexobj, [coeffs.scaling, *coeffs.wavelets.values()]))
     out = flag.flag_synthesis(scheme, synthesis_to_coeffs(coeffs, kernels, scheme),
-                              real, check=False)
+                              coeffs.real, check=False)
     return flag.BallSignal(scheme=scheme, values=out)

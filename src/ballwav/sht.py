@@ -94,27 +94,26 @@ def _lm_arrays(L):
 def check_real(coeffs):
     """Raise ArithmeticError unless packed coefficients (..., L*L) are those of
     a real signal: f_{l,-m} = (-1)^m conj(f_lm) to 1e-10 max(1, max|f|).
+    A NaN anywhere fails the check.
 
     Rows are checked over blocks of _BLOCK_BYTES, so the temporaries stay
     within a few budgets; the maxima, and so the verdict, are those of one
     pass over all rows."""
     vals = np.asarray(coeffs)
     L = packed_bandlimit(vals)
-    (i_p, r_p, _), (i_n, r_n, _, sign) = _halves(L)
-    # order m < 0 at i_n mirrors order |m| = r_n + 1 at i_n + 2|m|; m = 0
-    # mirrors itself
-    i_z, i_m = i_p[r_p == 0], i_n + 2 * r_n + 2
+    (i_p, r_p, _), (i_n, _, _, sign, i_m) = _halves(L)
+    i_z = i_p[r_p == 0]  # m = 0 mirrors itself
     rows = vals.reshape(-1, L * L)
-    zero, neg, peak = [], [], []
+    resid, peak = [], []
     for s in _blocks(len(rows), 16 * L * L):
         z = rows[s, i_z]
-        zero.append(np.max(np.abs(z - np.conj(z))))
-        neg.append(np.max(np.abs(rows[s, i_n] - sign * np.conj(rows[s, i_m])),
-                          initial=0.0))
+        resid.append(np.max(np.abs(z - np.conj(z))))
+        resid.append(np.max(np.abs(rows[s, i_n] - sign * np.conj(rows[s, i_m])),
+                            initial=0.0))
         peak.append(np.max(np.abs(rows[s])))
-    resid = max(float(np.max(zero)), float(np.max(neg)))
+    resid = np.max(resid)  # a NaN carries through, and fails the test below
     bound = 1e-10 * max(1.0, float(np.max(peak)))
-    if resid > bound:
+    if not resid <= bound:
         raise ArithmeticError(
             "coefficients are not those of a real signal: conjugate-symmetry "
             "residue %g exceeds %g" % (resid, bound))
@@ -159,18 +158,26 @@ def _halves(L):
     The Legendre step works on two binned halves indexed [row, l]: row m for
     m >= 0, against table rows 0..L-1, and row |m| - 1 for m < 0, against
     table rows 1..L-1. Returns (index, row, l) for the first half and
-    (index, row, l, (-1)^m) for the second. None of it depends on the scheme
-    band-limit, so a lower band-limit L indexes a prefix of the cells.
+    (index, row, l, (-1)^m, mirror) for the second, where mirror is the
+    packed index of (l, -m). None of it depends on the scheme band-limit, so
+    a lower band-limit L indexes a prefix of the cells.
     """
     ell, m = _lm_arrays(L)
     pos = np.flatnonzero(m >= 0)
     neg = np.flatnonzero(m < 0)
     parts = ((pos, m[pos], ell[pos]),
-             (neg, -m[neg] - 1, ell[neg], (-1.0) ** m[neg]))
+             (neg, -m[neg] - 1, ell[neg], (-1.0) ** m[neg], neg - 2 * m[neg]))
     for part in parts:
         for a in part:
             a.flags.writeable = False  # cached: every caller shares them
     return parts
+
+
+def _conj_fill(vals):
+    """Write the m < 0 half of packed coefficients vals (..., L*L) in place
+    from the m > 0 half, as a real signal has it: f_{l,-m} = (-1)^m conj(f_lm)."""
+    _, (i_n, _, _, sign, i_m) = _halves(packed_bandlimit(vals))
+    vals[..., i_n] = sign * np.conj(vals[..., i_m])
 
 
 @dataclass(frozen=True)
@@ -291,7 +298,7 @@ def _forward_rows(scheme, vals, out, Lc):
     neg = np.einsum("mlt,...tm->...ml", plm[1:], G[..., :Lc - 1:-1])
     # temporaries are dropped once spent, so that the allocator reuses them
     del G
-    (i_p, r_p, l_p), (i_n, r_n, l_n, sign) = _halves(Lc)
+    (i_p, r_p, l_p), (i_n, r_n, l_n, sign, _) = _halves(Lc)
     out[..., i_p] = pos[..., r_p, l_p]
     del pos
     neg = neg[..., r_n, l_n]
@@ -317,11 +324,10 @@ def _forward_real(scheme, vals, Lc):
     X *= (scheme.theta_weights * (2.0 * np.pi / F))[:, None]
     Y = np.matmul(scheme._plm[:Lc, :Lc], X.view(float)).view(complex)
     del X
-    (i_p, r_p, l_p), (i_n, r_n, l_n, sign) = _halves(Lc)
+    (i_p, r_p, l_p), _ = _halves(Lc)
     out = np.empty((Y.shape[-1], Lc * Lc), dtype=complex)
     out[:, i_p] = Y[r_p, l_p].T
-    # f_{l,-m} = (-1)^m conj(f_lm); order |m| = r_n + 1 is row r_n + 1 of Y
-    out[:, i_n] = sign * np.conj(Y[r_n + 1, l_n]).T
+    _conj_fill(out)
     return out.reshape(batch + (Lc * Lc,))
 
 
@@ -351,7 +357,7 @@ def _inverse_rows(scheme, vals, H, Lc):
     """sht_inverse of coefficients vals (..., Lc*Lc) into complex grids H,
     which hold the FFT bins until the inverse FFT runs in place."""
     F, plm = scheme.n_phi, scheme._plm[:Lc, :Lc]
-    (i_p, r_p, l_p), (i_n, r_n, l_n, sign) = _halves(Lc)
+    (i_p, r_p, l_p), (i_n, r_n, l_n, sign, _) = _halves(Lc)
     batch = vals.shape[:-1]
     half = np.zeros(batch + (Lc, Lc), dtype=complex)
     half[..., r_p, l_p] = vals[..., i_p]
