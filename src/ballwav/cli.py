@@ -8,7 +8,6 @@ exceeded, 2 usage, 3 file-format error.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import time
@@ -164,8 +163,9 @@ def cmd_bench(args):
         rec = _time_roundtrip(args, q, q, args.reps)
         records.append(rec)
         print(rec.csv_row())
-    slope = fit_loglog_slope(sizes, [r.t_c_s for r in records])
-    print("# fitted_slope=%.3f" % slope)
+    if len(sizes) > 1:  # one size has no slope to fit
+        slope = fit_loglog_slope(sizes, [r.t_c_s for r in records])
+        print("# fitted_slope=%.3f" % slope)
     return EXIT_OK
 
 
@@ -197,42 +197,46 @@ def _load_clean_coeffs(path):
 
 
 def cmd_denoise(args):
+    import numpy as np
+
     from . import ballfile, denoise, flag
 
     clean, scheme, kind = _load_clean_coeffs(args.input)
     kernels = _tiling_kernels(args, scheme.L, scheme.P)
-    if args.sigma == 0.0:
-        # no noise to remove; pass the input through untouched
-        den, snr_in, snr_out = clean, float("inf"), float("inf")
-    else:
-        model = denoise.NoiseModel(sigma=args.sigma, L=scheme.L, P=scheme.P,
-                                   seed=args.seed)
-        noise = denoise.generate_noise(model)
-        sigma_eff = args.sigma
-        if args.snr_in is not None:
-            noise, alpha = denoise.scale_noise_to_snr(clean, noise, args.snr_in)
-            sigma_eff = args.sigma * alpha
-        noisy = flag.FlagCoeffs(L=scheme.L, P=scheme.P,
-                                values=clean.values + noise.values,
-                                real=clean.real and noise.real)
-        model_eff = denoise.NoiseModel(sigma=sigma_eff, L=scheme.L, P=scheme.P,
+    # noise near the top of double range can overflow inside the transforms:
+    # the payload is checked instead, before anything is written
+    with np.errstate(over="ignore", invalid="ignore"):
+        if args.sigma == 0.0:
+            # no noise to remove; pass the input through untouched
+            den, snr_in, snr_out = clean, float("inf"), float("inf")
+        else:
+            model = denoise.NoiseModel(sigma=args.sigma, L=scheme.L, P=scheme.P,
                                        seed=args.seed)
-        den, snr_in, snr_out = denoise.denoise_pipeline(
-            scheme, kernels, clean, noisy, model_eff,
-            multires=args.multires, multiplier=args.multiplier)
-    if kind == ballfile.KIND_SAMPLES:
-        grid = flag.flag_synthesis(scheme, den.values, real=den.real)
-        out = ballfile.pack_samples(flag.BallSignal(scheme=scheme, values=grid))
-    else:
-        out = ballfile.pack_coeffs(den, scheme.tau)
+            noise = denoise.generate_noise(model)
+            sigma_eff = args.sigma
+            if args.snr_in is not None:
+                noise, alpha = denoise.scale_noise_to_snr(clean, noise, args.snr_in)
+                sigma_eff = args.sigma * alpha
+            noisy = flag.FlagCoeffs(L=scheme.L, P=scheme.P,
+                                    values=clean.values + noise.values,
+                                    real=clean.real and noise.real)
+            model_eff = denoise.NoiseModel(sigma=sigma_eff, L=scheme.L, P=scheme.P,
+                                           seed=args.seed)
+            den, snr_in, snr_out = denoise.denoise_pipeline(
+                scheme, kernels, clean, noisy, model_eff,
+                multires=args.multires, multiplier=args.multiplier)
+        if kind == ballfile.KIND_SAMPLES:
+            grid = flag.flag_synthesis(scheme, den.values, real=den.real)
+            out = ballfile.pack_samples(flag.BallSignal(scheme=scheme, values=grid))
+        else:
+            out = ballfile.pack_coeffs(den, scheme.tau)
+    if not np.all(np.isfinite(grid if kind == ballfile.KIND_SAMPLES else den.values)):
+        raise ValueError("denoised values are not finite (sigma %r)" % args.sigma)
     ballfile.write_ballfile(args.output, out)
     print("snr_in_db,snr_out_db")
-    print("%s,%s" % (_db(snr_in), _db(snr_out)))
+    # %.4f spells the infinities inf and -inf
+    print("%.4f,%.4f" % (snr_in, snr_out))
     return EXIT_OK
-
-
-def _db(value):
-    return "inf" if math.isinf(value) else "%.4f" % value
 
 
 def cmd_kernels(args):

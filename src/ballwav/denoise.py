@@ -9,6 +9,7 @@ wavelet samples removes most noise while keeping sparse features.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,11 +48,15 @@ class ThresholdPlan:
 def generate_noise(model):
     """One noise realization in coefficient space, conjugate-symmetric:
     flag.random_coeffs(real=True) drawn from a Philox generator seeded with
-    model.seed, row p scaled by the ramp sigma p/P."""
+    model.seed, row p scaled by the ramp sigma p/P. Raises ValueError when
+    the scaled realization leaves double range."""
     L, P = model.L, model.P
     rng = np.random.Generator(np.random.Philox(model.seed))
     vals = flag.random_coeffs(L, P, rng, real=True).values
-    vals *= model.sigma * (np.arange(P) / P)[:, None]
+    with np.errstate(over="ignore"):
+        vals *= model.sigma * (np.arange(P) / P)[:, None]
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("noise of sigma %r leaves double range" % model.sigma)
     return flag.FlagCoeffs(L=L, P=P, values=vals, real=True)
 
 
@@ -96,19 +101,30 @@ def hard_threshold(coeffs, plan):
                                    wavelets=wavelets, multires=coeffs.multires)
 
 
+def _log_norm(x):
+    """log10 of the 2-norm of x, -inf for a zero array. The entries are scaled
+    by the largest before squaring, so no square overflows or underflows."""
+    a = np.abs(x)
+    peak = float(np.max(a, initial=0.0))
+    if peak == 0.0:
+        return -math.inf
+    return math.log10(peak) + 0.5 * math.log10(float(np.sum((a / peak) ** 2)))
+
+
 def snr(reference, observed):
     """10 log10 of signal power over residual power, in coefficient space.
 
-    Returns inf when observed equals reference exactly.
+    Returns inf when observed equals reference exactly, and stays finite for
+    powers outside double range.
     """
     s = np.asarray(reference)
     y = np.asarray(observed)
     if s.shape != y.shape:
         raise ValueError("band-limits do not match")
-    resid = float(np.sum(np.abs(y - s) ** 2))
-    if resid == 0.0:
-        return float("inf")
-    return 10.0 * np.log10(float(np.sum(np.abs(s) ** 2)) / resid)
+    resid = _log_norm(y - s)
+    if resid == -math.inf:
+        return math.inf
+    return 20.0 * (_log_norm(s) - resid)
 
 
 def make_sparse_signal(scheme, kernels, n_atoms=6, seed=0):

@@ -32,8 +32,8 @@ coefficients, so the real inverse is taken only where a caller says so:
 flag_synthesis with real=True. It reads the m >= 0 half, contracts it the
 same way and ends with an inverse real DFT, returning a float grid.
 check_real guards that claim, raising ArithmeticError when the coefficients
-are not conjugate-symmetric, since the m < 0 half would otherwise be dropped
-silently. sht_inverse itself is the complex path.
+are not conjugate-symmetric or hold a NaN, since the m < 0 half would
+otherwise be dropped silently. sht_inverse itself is the complex path.
 
 On the real path the longitude step in either direction is, up to
 Lc = _DFT_MAX_BINS, one float matmul of the rows against a cached

@@ -144,7 +144,10 @@ class TilingParams:
 
     lam and nu are the angular and radial dilation factors (the former is
     spelled lam because of the Python keyword). J and Jp, the largest
-    scales, follow from the dilations and band-limits.
+    scales, follow from the dilations and band-limits. A dilation must be
+    finite and exceed 1, give J <= L - 1 (Jp <= P - 1), so that there are
+    no more scales than degrees, and keep lam^(J+1) (nu^(Jp+1)), the last
+    cutoff build_tiling divides by, a finite double.
     """
 
     lam: float
@@ -155,10 +158,19 @@ class TilingParams:
     P: int
 
     def __post_init__(self):
-        if self.lam <= 1.0 or self.nu <= 1.0:
-            raise ValueError("dilation factors must exceed 1")
+        if not all(math.isfinite(d) and d > 1.0 for d in (self.lam, self.nu)):
+            raise ValueError("dilation factors must be finite and exceed 1")
         if self.L < 2 or self.P < 2:
             raise ValueError("band-limits must be >= 2")
+        if self.J > self.L - 1 or self.Jp > self.P - 1:
+            raise ValueError("dilations %r, %r give J=%d, Jp=%d, more than L-1=%d, "
+                             "P-1=%d" % (self.lam, self.nu, self.J, self.Jp,
+                                         self.L - 1, self.P - 1))
+        try:
+            _pow(self.lam, self.J + 1), _pow(self.nu, self.Jp + 1)
+        except OverflowError:
+            raise ValueError("dilations %r, %r overflow a double at scale J+1"
+                             % (self.lam, self.nu)) from None
         if not 0 <= self.J0 < self.J:
             raise ValueError("J0 must satisfy 0 <= J0 < J")
         if not 0 <= self.J0p < self.Jp:

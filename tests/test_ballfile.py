@@ -347,6 +347,16 @@ def test_repeated_scale_rejected():
         ballfile.from_bytes(bytes(data))
 
 
+@pytest.mark.parametrize("value", [1.0 + 2.0**-52, 1e300, 1e308, np.inf, np.nan])
+@pytest.mark.parametrize("name", ["lam", "nu"])
+def test_unpack_wavelets_rejects_dilation_out_of_range(name, value):
+    # a dilation of 1 + 2^-52 would list about 1e16 scales before any check
+    data = bytearray(VALID[2])
+    struct.pack_into("<d", data, _field_offset(data, name), value)
+    with pytest.raises(ballfile.BallFileError, match="tiling header"):
+        ballfile.unpack_wavelets(ballfile.from_bytes(bytes(data)))
+
+
 @pytest.mark.parametrize("byte", [2, 255])
 def test_multires_byte_must_be_0_or_1(byte):
     data = bytearray(VALID[2])

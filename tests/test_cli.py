@@ -1,5 +1,12 @@
+import contextlib
+import io
+import pathlib
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ballwav import ballfile, cli, flag
 
@@ -259,6 +266,25 @@ def test_denoise_bad_numeric_argument_is_usage_error(tmp_path, capsys, option, v
     assert not out.exists()
 
 
+def test_denoise_prints_snrs_beyond_double_range(tmp_path, capsys):
+    # the noise power 1e400 overflows; its decibels do not
+    clean = tmp_path / "g.flb"
+    assert run(capsys, "synth", "--kind", "gaussian", "--L", "4", "--P", "4",
+               "--out", str(clean))[0] == 0
+    rc, text, _ = run(capsys, "denoise", "--input", str(clean),
+                      "--output", str(tmp_path / "d.flb"), "--sigma", "1e200")
+    assert rc == 0
+    assert text.splitlines()[1].startswith("-3993.6200,")
+    # a zero signal has -inf dB against any noise
+    zero = tmp_path / "z.flb"
+    ballfile.write_ballfile(zero, ballfile.pack_coeffs(
+        flag.FlagCoeffs(L=4, P=4, values=np.zeros((4, 16), dtype=complex))))
+    rc, text, _ = run(capsys, "denoise", "--input", str(zero),
+                      "--output", str(tmp_path / "d.flb"))
+    assert rc == 0
+    assert text.splitlines()[1] == "-inf,-inf"
+
+
 def test_denoise_missing_input_is_format_exit(tmp_path, capsys):
     rc, _, err = run(capsys, "denoise", "--input", str(tmp_path / "none.flb"),
                      "--output", str(tmp_path / "o.flb"))
@@ -293,6 +319,16 @@ def test_kernels_bad_dilation(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("value", [repr(1.0 + 2.0**-52), "1e300", "1e308", "inf",
+                                   "nan"])
+@pytest.mark.parametrize("option", ["--lambda", "--nu"])
+def test_kernels_dilation_out_of_range(capsys, option, value):
+    # 1 + 2^-52 ran for minutes, 1e300 ended in a traceback and inf exited 0
+    rc, out, err = run(capsys, "kernels", "--L", "4", "--P", "4", option, value)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ")
+
+
 def test_threads_flag_validation(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--threads", "0", "kernels", "--L", "4", "--P", "4"])
@@ -312,3 +348,63 @@ def test_bench_record_csv_fields():
     assert row.split(",")[0] == "4"
     assert float(row.split(",")[5]) == 1.0
     assert cli.CSV_HEADER.split(",")[5] == "t_c_s"
+
+
+# Every float option of every subcommand, on L=P=4 runs; the values are the
+# edges of double range, 1 + 2^-52 and the usual defaults. The 272 cases are
+# few enough for max_examples to reach each of them.
+_EDGE_FLOATS = ["0", "5e-324", "-5e-324", "1e-300", "-1e-300", "1", "-1",
+                repr(1.0 + 2.0**-52), "2", "1e300", "-1e300", "1e308", "-1e308",
+                "inf", "-inf", "nan"]
+_TILING_OPTIONS = ["--lambda", "--nu"]
+_FLOAT_OPTIONS = {
+    "roundtrip": ["--tau", "--tol"] + _TILING_OPTIONS,
+    "bench": ["--tau"] + _TILING_OPTIONS,
+    "denoise": ["--sigma", "--snr-in", "--multiplier"] + _TILING_OPTIONS,
+    "kernels": _TILING_OPTIONS,
+    "synth": ["--tau"] + _TILING_OPTIONS,
+}
+_EDGE_CASES = [(c, o) for c, opts in _FLOAT_OPTIONS.items() for o in opts]
+
+
+def _edge_argv(command, directory):
+    """argv of a small run of command, and the file it writes or None."""
+    out = directory / "out"
+    if command == "roundtrip":
+        return ["roundtrip", "--transform", "flaglet", "--L", "4", "--P", "4"], None
+    if command == "bench":
+        return ["bench", "--Lmin", "4", "--Lmax", "4", "--reps", "1"], None
+    if command == "denoise":
+        clean = directory / "clean.flb"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["synth", "--kind", "gaussian", "--L", "4", "--P", "4",
+                             "--out", str(clean)]) == 0
+        return ["denoise", "--input", str(clean), "--output", str(out)], out
+    return [command, "--L", "4", "--P", "4", "--out", str(out)], out
+
+
+def _only_finite_values(path):
+    data = path.read_bytes()
+    if not data.startswith(ballfile.MAGIC):  # the kernels CSV
+        return b"nan" not in data and b"inf" not in data
+    bf = ballfile.from_bytes(data)
+    parts = [bf.samples, bf.coeffs, bf.scaling, *(bf.wavelets or {}).values()]
+    return all(np.all(np.isfinite(a)) for a in parts if a is not None)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(case=st.sampled_from(_EDGE_CASES), value=st.sampled_from(_EDGE_FLOATS))
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_exit_codes_on_edge_floats(case, value):
+    command, option = case
+    with tempfile.TemporaryDirectory() as tmp:
+        argv, out = _edge_argv(command, pathlib.Path(tmp))
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text), contextlib.redirect_stderr(io.StringIO()):
+            rc = cli.main(argv + ["%s=%s" % (option, value)])
+        assert rc in (0, 1, 2, 3)
+        if rc != 0:
+            assert out is None or not out.exists()
+        else:
+            assert "nan" not in text.getvalue().lower()
+            assert out is None or _only_finite_values(out)

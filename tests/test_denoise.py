@@ -179,6 +179,24 @@ def test_snr_values():
         denoise.snr(a, np.zeros((5, 16), dtype=complex))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_snr_beyond_double_range_of_the_powers():
+    # the powers |r|^2 overflow or underflow, their ratio's logarithm does not
+    a = flag.random_coeffs(4, 4, seed=0).values
+    assert denoise.snr(a, a + 1e200 * a) == pytest.approx(-4000.0, rel=1e-12)
+    assert denoise.snr(1e-200 * a, 2e-200 * a) == pytest.approx(0.0, abs=1e-12)
+    assert denoise.snr(0.0 * a, a) == -np.inf
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_noise_leaving_double_range_raises():
+    model = denoise.NoiseModel(sigma=1e308, L=16, P=16, seed=0)
+    with pytest.raises(ValueError, match="double range"):
+        denoise.generate_noise(model)
+    n = denoise.generate_noise(denoise.NoiseModel(sigma=1e300, L=16, P=16, seed=0))
+    assert np.all(np.isfinite(n.values))
+
+
 def test_make_sparse_signal_properties():
     L = P = 16
     kern = _kernels(L, P)

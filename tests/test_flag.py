@@ -281,9 +281,16 @@ def test_real_claim_on_asymmetric_coeffs_raises(call):
     sch = flag.build_ball_scheme(6, 4)
     f = flag.random_coeffs(6, 4, seed=5, real=True).values
     call(sch, f)
-    f[0, sht.lm_index(3, -1)] += 1e-3
+    g = f.copy()
+    g[0, sht.lm_index(3, -1)] += 1e-3
     with pytest.raises(ArithmeticError, match="real signal"):
-        call(sch, f)
+        call(sch, g)
+    # a NaN in the m < 0 half would be dropped as silently
+    for ell, m in ((3, -2), (3, 2), (4, 0)):
+        g = f.copy()
+        g[2, sht.lm_index(ell, m)] = np.nan
+        with pytest.raises(ArithmeticError, match="real signal"):
+            call(sch, g)
 
 
 @pytest.mark.parametrize("Lc,Pc", [(1, 1), (3, 2), (6, 4), (2, 5)])

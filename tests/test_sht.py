@@ -263,6 +263,12 @@ def test_check_real_bound():
         g[1, sht.lm_index(ell, m)] += 10.0 * bound * 1j
         with pytest.raises(ArithmeticError, match="real signal"):
             sht.check_real(g)
+    # a NaN in either half, or at m = 0, fails whatever the bound
+    for ell, m in ((3, -2), (3, 2), (4, 0)):
+        g = f.copy()
+        g[1, sht.lm_index(ell, m)] = np.nan
+        with pytest.raises(ArithmeticError, match="real signal"):
+            sht.check_real(g)
 
 
 def test_check_real_runs_in_blocks_of_rows(monkeypatch):

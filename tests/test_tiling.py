@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -104,6 +105,22 @@ def test_params_validation():
     # the max scales are derived, so they cannot be passed in at all
     with pytest.raises(TypeError):
         tiling.TilingParams(lam=2.0, nu=2.0, J0=0, J0p=0, L=16, P=16, J=3, Jp=4)
+
+
+_BAD_DILATIONS = [1.0 + 2.0**-52, 1e300, 1e308, math.inf, math.nan]
+
+
+@pytest.mark.parametrize("bad", _BAD_DILATIONS)
+@pytest.mark.parametrize("which", ["lam", "nu"])
+def test_params_reject_dilations_out_of_range(which, bad):
+    # 1 + 2^-52 would list about 1e16 scales; 1e300 and up overflow
+    # lam^(J+1); inf and nan are no dilation at all
+    dil = {"lam": 2.0, "nu": 2.0, which: bad}
+    for L in (4, 8, 128):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="dilation"):
+            tiling.make_tiling_params(dil["lam"], dil["nu"], L, L)
+        assert time.perf_counter() - t0 < 1.0
 
 
 def test_kernel_bandlimits():
