@@ -64,19 +64,21 @@ def predict_sigma(kernels, model, scheme, multires=True):
     """Noise standard deviation of each wavelet scale at its radial nodes.
 
     The m-sum over spherical harmonics collapses, leaving
-    sigma^2 sum_{l,p} (p/P)^2 psi_{lp}^2 K_p(r)^2 per scale. K_p at the nodes
-    is the node_synthesis of the scale's own radial scheme; its P covers
-    every p at which the scale's kernel is nonzero.
+    sigma^2 sum_p (p/P)^2 K_p(r)^2 sum_lm k_lmp^2 / 4 pi per scale, where k is
+    the kernel the transform applies (flaglet._parts). K_p at the nodes is
+    the node_synthesis of the scale's own radial scheme; its P covers every
+    p at which the scale's kernel is nonzero.
     """
     prm = kernels.params
     if prm.L != model.L or prm.P != model.P or scheme.P != model.P:
         raise ValueError("band-limits of kernels, model, and scheme disagree")
     ramp2 = (np.arange(model.P) / model.P) ** 2
     profiles = {}
-    for j, jp in prm.scales:
-        S = flaglet.scale_scheme(scheme, prm, j, jp, multires).radial.node_synthesis
-        weight = ramp2 * (kernels.psi_scale(j, jp) ** 2).sum(axis=0)
-        profiles[(j, jp)] = model.sigma * np.sqrt((S * S) @ weight[:S.shape[1]])
+    for key, sub, (_, Pc), k in flaglet._parts(scheme, kernels, multires):
+        if key is not None:
+            S = sub.radial.node_synthesis[:, :Pc]
+            weight = ramp2[:Pc] * np.einsum("pi,pi->p", k, k) / (4.0 * np.pi)
+            profiles[key] = model.sigma * np.sqrt((S * S) @ weight)
     return ThresholdPlan(profiles=profiles, multires=multires)
 
 
@@ -136,42 +138,38 @@ def make_sparse_signal(scheme, kernels, n_atoms=6, seed=0):
     """
     if n_atoms < 1:
         raise ValueError("a sparse signal needs at least one atom, got %r" % n_atoms)
-    prm = kernels.params
     rng = np.random.default_rng(seed)
-    fac = flag.sqrt4pi_factor(scheme.L)
+    parts = {key: (bl, k) for key, _, bl, k in flaglet._parts(scheme, kernels, False)}
     vals = np.zeros((scheme.P, scheme.L * scheme.L), dtype=complex)
-    scales = prm.scales
+    scales = kernels.params.scales
     for _ in range(n_atoms):
-        j, jp = scales[rng.integers(len(scales))]
+        (Lc, Pc), k = parts[scales[rng.integers(len(scales))]]
         theta = np.arccos(rng.uniform(-1.0, 1.0))
         phi = rng.uniform(0.0, 2.0 * np.pi)
         r_a = rng.uniform(0.1 * scheme.R, 0.7 * scheme.R)
         amp = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.5)
-        y = sht.ylm_point(scheme.L, theta, phi)
-        krow = laguerre.synthesis_matrix(scheme.radial, np.array([r_a]))[0]
-        psi_packed = flaglet._packed_kernel(kernels.psi_scale(j, jp),
-                                            scheme.L, scheme.P)
-        vals += amp * fac[None, :] * psi_packed * np.conj(y)[None, :] * krow[:, None]
+        y = sht.ylm_point(Lc, theta, phi)
+        krow = laguerre.synthesis_matrix(scheme.radial, np.array([r_a]))[0, :Pc]
+        vals[:Pc, : Lc * Lc] += amp * k * np.conj(y)[None, :] * krow[:, None]
     vals /= np.sqrt(np.sum(np.abs(vals) ** 2))
     return flag.FlagCoeffs(L=scheme.L, P=scheme.P, values=vals, real=True)
 
 
 def scale_noise_to_snr(signal, noise, target_db):
-    """Rescale a noise realization so signal + noise sits at target_db."""
+    """Rescale a noise realization so signal + noise sits at target_db; the
+    scale is a ratio of the norms snr takes, so any finite noise scale works."""
     if np.isnan(target_db):
         raise ValueError("target SNR must not be NaN")
-    s = signal.values
-    n = noise.values
-    power = np.sum(np.abs(n) ** 2)
-    if power == 0.0:
+    log_n = _log_norm(noise.values)
+    if log_n == -math.inf:
         raise ValueError("noise realization is identically zero")
-    with np.errstate(over="ignore", divide="ignore"):
-        alpha = np.sqrt(np.sum(np.abs(s) ** 2)
-                        / (power * np.power(10.0, target_db / 10.0)))
-    if not (np.isfinite(alpha) and alpha > 0):
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        alpha = float(np.power(10.0, _log_norm(signal.values) - log_n - target_db / 20.0))
+        values = alpha * noise.values
+    if not (alpha > 0 and np.all(np.isfinite(values))):
         raise ValueError("target SNR %r dB needs a noise scale of %r, not a finite "
-                         "positive number" % (target_db, float(alpha)))
-    return flag.FlagCoeffs(L=noise.L, P=noise.P, values=alpha * n, real=noise.real), float(alpha)
+                         "positive number" % (target_db, alpha))
+    return flag.FlagCoeffs(L=noise.L, P=noise.P, values=values, real=noise.real), alpha
 
 
 def denoise_pipeline(scheme, kernels, clean, noisy, model, multires=True,
@@ -185,11 +183,15 @@ def denoise_pipeline(scheme, kernels, clean, noisy, model, multires=True,
     runs on the real-signal path, and the denoised coefficients keep the
     flag.
     """
-    coeffs = flaglet.analysis_from_coeffs(scheme, noisy.values, kernels,
-                                          multires=multires, real=noisy.real)
-    plan = replace(predict_sigma(kernels, model, scheme, multires=multires),
-                   multiplier=multiplier)
-    kept = hard_threshold(coeffs, plan)
-    den = flaglet.synthesis_to_coeffs(kept, kernels, scheme)
+    # noise near the top of double range can overflow: check what comes out
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = flaglet.analysis_from_coeffs(scheme, noisy.values, kernels,
+                                              multires=multires, real=noisy.real)
+        plan = replace(predict_sigma(kernels, model, scheme, multires=multires),
+                       multiplier=multiplier)
+        den = flaglet.synthesis_to_coeffs(hard_threshold(coeffs, plan), kernels, scheme)
+    if not np.all(np.isfinite(den)):
+        raise ValueError("denoised coefficients leave double range (sigma %r)"
+                         % model.sigma)
     return (flag.FlagCoeffs(L=scheme.L, P=scheme.P, values=den, real=noisy.real),
             snr(clean.values, noisy.values), snr(clean.values, den))

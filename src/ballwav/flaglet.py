@@ -6,9 +6,11 @@ outside its band-limits (Lj, Pjp), so in both modes a scale's coefficient
 block and its transforms work at (Lj, Pjp). Only the sampling differs: in
 multiresolution mode a scale is sampled on its own (Lj, Pjp) grid, which is
 lossless, and at full resolution on the full grid. The scaling part always
-stays at full resolution. Every part is a plain array; scale_scheme alone
-decides a part's grid. The frame is tight, so synthesis is the adjoint
-accumulation and the round trip is exact for band-limited signals.
+stays at full resolution. Every part is a plain array. _parts owns each
+part's grid (through scale_scheme, the one owner of that choice), its
+band-limits and its coefficient-space kernel, and analysis, synthesis and the
+noise plan of denoise all walk it. The frame is tight, so synthesis is the
+adjoint accumulation and the round trip is exact for band-limited signals.
 
 The transform splits at the coefficient boundary: analysis_from_coeffs maps
 coefficients f[p, lm] to a WaveletCoeffSet and synthesis_to_coeffs maps one
@@ -45,8 +47,7 @@ def scale_scheme(scheme, params, j, jp, multires):
 
 def _packed_kernel(kern2d, L_red, P_red):
     """Kernel block (l, p) -> (p, packed lm) at reduced band-limits."""
-    ell_of, _ = sht._lm_arrays(L_red)
-    return kern2d[ell_of, :P_red].T
+    return np.repeat(kern2d[:L_red, :P_red].T, 2 * np.arange(L_red) + 1, axis=1)
 
 
 @dataclass(frozen=True)
@@ -73,10 +74,21 @@ class WaveletCoeffSet:
         return not any(map(np.iscomplexobj, [self.scaling, *self.wavelets.values()]))
 
 
-def _check_match(scheme, kernels):
+def _parts(scheme, kernels, multires):
+    """Walk the parts: the scaling part under the key None, then each scale
+    (j, jp). Yields (key, grid scheme, (Lc, Pc), k), where k is the (Pc, Lc^2)
+    block of the kernel sqrt(4 pi/(2l+1)) Psi_lp that maps the signal's
+    coefficients to the part's: the full band for the scaling part, the
+    kernel band-limits for a scale."""
     prm = kernels.params
     if scheme.L != prm.L or scheme.P != prm.P:
         raise ValueError("kernel band-limits do not match scheme")
+    fac = flag.sqrt4pi_factor(scheme.L)
+    yield None, scheme, (prm.L, prm.P), fac * _packed_kernel(kernels.phi, prm.L, prm.P)
+    for j, jp in prm.scales:
+        Lc, Pc = tiling.kernel_bandlimits(prm, j, jp)
+        yield ((j, jp), scale_scheme(scheme, prm, j, jp, multires), (Lc, Pc),
+               fac[: Lc * Lc] * _packed_kernel(kernels.psi_scale(j, jp), Lc, Pc))
 
 
 def _analysis(scheme, f, kernels, multires, real):
@@ -84,22 +96,12 @@ def _analysis(scheme, f, kernels, multires, real):
     conjugate-symmetric and every part is sampled as a float array. The
     kernels depend on l alone, so each part keeps that symmetry and is not
     checked again."""
-    _check_match(scheme, kernels)
     if f.shape != (scheme.P, scheme.L * scheme.L):
         raise ValueError("coefficient band-limits do not match scheme")
-    fac = flag.sqrt4pi_factor(scheme.L)
-    prm = kernels.params
-    w_phi = fac[None, :] * f * _packed_kernel(kernels.phi, scheme.L, scheme.P)
-    scaling = flag.flag_synthesis(scheme, w_phi, real, check=False)
-    wavelets = {}
-    for j, jp in prm.scales:
-        Lj, Pjp = tiling.kernel_bandlimits(prm, j, jp)
-        sub = scale_scheme(scheme, prm, j, jp, multires)
-        psi = _packed_kernel(kernels.psi_scale(j, jp), Lj, Pjp)
-        w = fac[None, : Lj * Lj] * f[:Pjp, : Lj * Lj] * psi
-        wavelets[(j, jp)] = flag.flag_synthesis(sub, w, real, check=False)
-    return WaveletCoeffSet(params=prm, scaling=scaling, wavelets=wavelets,
-                           multires=multires)
+    parts = {key: flag.flag_synthesis(sub, f[:Pc, : Lc * Lc] * k, real, check=False)
+             for key, sub, (Lc, Pc), k in _parts(scheme, kernels, multires)}
+    return WaveletCoeffSet(params=kernels.params, scaling=parts.pop(None),
+                           wavelets=parts, multires=multires)
 
 
 def analysis_from_coeffs(scheme, f, kernels, multires=False, real=False):
@@ -121,18 +123,12 @@ def flaglet_analysis(scheme, signal, kernels, multires=False):
 
 def synthesis_to_coeffs(coeffs, kernels, scheme):
     """Complex coefficients f[p, lm] of the signal a WaveletCoeffSet holds."""
-    _check_match(scheme, kernels)
     if coeffs.params != kernels.params:
         raise ValueError("coefficient set was built with different tiling params")
-    fac = flag.sqrt4pi_factor(scheme.L)
-    g = flag.flag_analysis(scheme, coeffs.scaling)
-    acc = fac[None, :] * g * _packed_kernel(kernels.phi, scheme.L, scheme.P)
-    for j, jp in kernels.params.scales:
-        Lj, Pjp = tiling.kernel_bandlimits(kernels.params, j, jp)
-        sub = scale_scheme(scheme, kernels.params, j, jp, coeffs.multires)
-        g = flag.flag_analysis(sub, coeffs.wavelets[(j, jp)], (Lj, Pjp))
-        psi = _packed_kernel(kernels.psi_scale(j, jp), Lj, Pjp)
-        acc[:Pjp, : Lj * Lj] += fac[None, : Lj * Lj] * g * psi
+    acc = np.zeros((scheme.P, scheme.L * scheme.L), dtype=complex)
+    for key, sub, (Lc, Pc), k in _parts(scheme, kernels, coeffs.multires):
+        part = coeffs.scaling if key is None else coeffs.wavelets[key]
+        acc[:Pc, : Lc * Lc] += k * flag.flag_analysis(sub, part, (Lc, Pc))
     return acc
 
 

@@ -195,9 +195,7 @@ def basis_k(scheme, p, r):
     if not 0 <= p < scheme.P:
         raise ValueError("p out of range for scheme")
     r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
-        raise ValueError("radius must be nonnegative")
-    val = scheme.tau**-1.5 * _khat_table(p + 1, r.ravel() / scheme.tau)[p]
+    val = synthesis_matrix(scheme, r.ravel())[:, p]
     return val.reshape(r.shape) if r.ndim else float(val[0])
 
 
@@ -236,8 +234,7 @@ def radial_synthesis(scheme, coeffs, radii):
 
 def radial_translate(scheme, coeffs, r):
     """Translation by r in coefficient space: out_p = f_p * K_p(r)."""
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
     vals = _last_axis(coeffs, "coefficients")
-    diag = scheme.tau**-1.5 * _khat_table(vals.shape[-1], np.array([r / scheme.tau]))[:, 0]
-    return vals * diag
+    if vals.shape[-1] > scheme.P:
+        raise ValueError("coefficient band-limit exceeds scheme")
+    return vals * synthesis_matrix(scheme, r)[0, : vals.shape[-1]]

@@ -285,6 +285,19 @@ def test_denoise_prints_snrs_beyond_double_range(tmp_path, capsys):
     assert text.splitlines()[1] == "-inf,-inf"
 
 
+@pytest.mark.parametrize("sigma", ["1e200", "1e-200"])
+def test_denoise_reaches_the_target_snr_at_any_noise_scale(tmp_path, capsys, sigma):
+    # the noise power overflows or underflows; the scale to the target does not
+    clean = tmp_path / "g.flb"
+    assert run(capsys, "synth", "--kind", "gaussian", "--L", "4", "--P", "4",
+               "--out", str(clean))[0] == 0
+    rc, text, _ = run(capsys, "denoise", "--input", str(clean),
+                      "--output", str(tmp_path / "d.flb"), "--sigma", sigma,
+                      "--snr-in", "5")
+    assert rc == 0
+    assert text.splitlines()[1].startswith("5.0000,")
+
+
 def test_denoise_missing_input_is_format_exit(tmp_path, capsys):
     rc, _, err = run(capsys, "denoise", "--input", str(tmp_path / "none.flb"),
                      "--output", str(tmp_path / "o.flb"))

@@ -224,6 +224,41 @@ def test_scale_noise_to_snr_hits_target():
         denoise.scale_noise_to_snr(sig, zero, 5.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_scale_noise_to_snr_hits_target_at_any_noise_scale(scale):
+    # the squares of such noise overflow or underflow; its log-norm does not
+    L = P = 4
+    sig = flag.random_coeffs(L, P, 0, real=True)
+    noise = denoise.generate_noise(denoise.NoiseModel(scale, L, P, seed=0))
+    scaled, alpha = denoise.scale_noise_to_snr(sig, noise, 5.0)
+    assert denoise.snr(sig.values, sig.values + scaled.values) \
+        == pytest.approx(5.0, abs=1e-9)
+    assert alpha * scale == pytest.approx(
+        denoise.scale_noise_to_snr(sig, denoise.generate_noise(
+            denoise.NoiseModel(1.0, L, P, seed=0)), 5.0)[1], rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("L, finite", [(4, True), (8, False)])
+def test_pipeline_noise_at_the_top_of_double_range(L, finite):
+    # sigma 1e308 noise is finite; its parts stay so at L=P=4, while at
+    # L=P=8 a synthesis overflows and the call raises instead of returning NaN
+    P = L
+    kern = _kernels(L, P)
+    scheme = flag.build_ball_scheme(L, P)
+    clean = flag.random_coeffs(L, P, 0, real=True)
+    model = denoise.NoiseModel(1e308, L, P, seed=0)
+    noisy = flag.FlagCoeffs(L, P, clean.values + denoise.generate_noise(model).values,
+                            real=True)
+    if finite:
+        den, _, _ = denoise.denoise_pipeline(scheme, kern, clean, noisy, model)
+        assert np.all(np.isfinite(den.values))
+    else:
+        with pytest.raises(ValueError, match="double range"):
+            denoise.denoise_pipeline(scheme, kern, clean, noisy, model)
+
+
 def test_pipeline_improves_snr():
     L = P = 32
     kern = _kernels(L, P)

@@ -185,16 +185,18 @@ def test_scales_property_matches_params():
 @pytest.mark.parametrize("L,P,lam,nu", [(16, 16, 2.0, 2.0), (12, 9, 3.0, 2.0)])
 def test_full_resolution_scale_matches_padded_synthesis(L, P, lam, nu):
     # a full-resolution scale is computed at its kernel band-limits; it must
-    # equal the full-band synthesis of its zero-padded coefficient block
+    # equal the full-band synthesis of its zero-padded coefficient block, and
+    # the scaling part that of its full-band block
     scheme, kernels = _setup(L=L, P=P, lam=lam, nu=nu)
     f = flag.random_coeffs(L, P, seed=12).values
     w = flaglet.analysis_from_coeffs(scheme, f, kernels, multires=False)
     fac = flag.sqrt4pi_factor(L)
-    for j, jp in w.scales:
-        psi = flaglet._packed_kernel(kernels.psi_scale(j, jp), L, P)
-        padded = fac[None, :] * f * psi
+    parts = {None: (w.scaling, kernels.phi)}
+    parts.update({s: (w.wavelets[s], kernels.psi_scale(*s)) for s in w.scales})
+    for part, kern2d in parts.values():
+        padded = fac[None, :] * f * flaglet._packed_kernel(kern2d, L, P)
         ref = flag.flag_synthesis(scheme, padded)
-        assert np.max(np.abs(w.wavelets[(j, jp)] - ref)) < 1e-12
+        assert np.max(np.abs(part - ref)) < 1e-12
 
 
 def test_part_on_wrong_grid_raises():

@@ -203,6 +203,8 @@ def test_input_validation():
         laguerre.radial_synthesis(sch, np.zeros(4), [-1.0])
     with pytest.raises(ValueError):
         laguerre.radial_translate(sch, np.zeros(4), -2.0)
+    with pytest.raises(ValueError, match="band-limit"):
+        laguerre.radial_translate(sch, np.zeros(5), 1.0)
     with pytest.raises(ValueError):
         laguerre.radial_analysis(sch, 3.0)
     with pytest.raises(ValueError):
