@@ -185,15 +185,21 @@ def pack_samples(signal):
                     samples=vals)
 
 
+def _check_grid(bf, arr, what):
+    """Tie a full-grid block to the header band-limits, before a scheme of
+    those band-limits is built: its dims must be (P, L, 2L-1)."""
+    if arr.shape != (bf.P, bf.L, 2 * bf.L - 1):
+        raise BallFileError("%s grid does not match header band-limits" % what)
+
+
 def unpack_samples(bf):
     from . import flag
 
     if bf.kind != KIND_SAMPLES:
         raise BallFileError("not a samples file")
-    scheme = flag.build_ball_scheme(bf.L, bf.P, bf.tau)
-    if bf.samples.shape != scheme.grid_shape:
-        raise BallFileError("sample grid does not match header band-limits")
-    return flag.BallSignal(scheme=scheme, values=bf.samples)
+    _check_grid(bf, bf.samples, "sample")
+    return flag.BallSignal(scheme=flag.build_ball_scheme(bf.L, bf.P, bf.tau),
+                           values=bf.samples)
 
 
 def _file_tau(tau):
@@ -227,10 +233,11 @@ def pack_wavelets(ws, tau):
 
 
 def unpack_wavelets(bf):
-    from . import flaglet, tiling
+    from . import flag, flaglet, tiling
 
     if bf.kind != KIND_WAVELETS:
         raise BallFileError("not a wavelet-set file")
+    _check_grid(bf, bf.scaling, "scaling")
     try:
         params = tiling.make_tiling_params(bf.lam, bf.nu, bf.L, bf.P,
                                            J0=bf.J0, J0p=bf.J0p)
@@ -238,9 +245,7 @@ def unpack_wavelets(bf):
         raise BallFileError("invalid tiling header: %s" % exc)
     if sorted(bf.wavelets) != params.scales:
         raise BallFileError("scale list does not match tiling header")
-    full = flaglet._cached_scheme(bf.L, bf.P, bf.tau)
-    if bf.scaling.shape != full.grid_shape:
-        raise BallFileError("scaling grid does not match band-limits")
+    full = flag.build_ball_scheme(bf.L, bf.P, bf.tau)
     for (j, jp), arr in bf.wavelets.items():
         sub = flaglet.scale_scheme(full, params, j, jp, bf.multires)
         if arr.shape != sub.grid_shape:

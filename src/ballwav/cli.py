@@ -170,12 +170,10 @@ def cmd_bench(args):
 
 
 def _load_clean_coeffs(path):
-    from . import ballfile
+    from . import ballfile, flag, sht
 
     bf = ballfile.read_ballfile(path)
     if bf.kind == ballfile.KIND_SAMPLES:
-        from . import flag
-
         signal = ballfile.unpack_samples(bf)
         scheme = signal.scheme
         coeffs = flag.FlagCoeffs(L=scheme.L, P=scheme.P,
@@ -183,10 +181,8 @@ def _load_clean_coeffs(path):
                                  real=not bf.complex_payload)
         return coeffs, scheme, bf.kind
     if bf.kind == ballfile.KIND_COEFFS:
-        from . import flaglet, sht
-
         coeffs, tau = ballfile.unpack_coeffs(bf)
-        scheme = flaglet._cached_scheme(bf.L, bf.P, tau)
+        scheme = flag.build_ball_scheme(bf.L, bf.P, tau)
         # the container has no real flag for coefficients: read it off them
         try:
             sht.check_real(coeffs.values)
@@ -262,10 +258,10 @@ def cmd_kernels(args):
 
 
 def cmd_synth(args):
-    from . import ballfile, denoise, flag, flaglet
+    from . import ballfile, denoise, flag
 
     if args.kind == "sparse":
-        scheme = flaglet._cached_scheme(args.L, args.P, args.tau)
+        scheme = flag.build_ball_scheme(args.L, args.P, args.tau)
         kernels = _tiling_kernels(args, args.L, args.P)
         coeffs = denoise.make_sparse_signal(scheme, kernels,
                                             n_atoms=args.atoms, seed=args.seed)

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
@@ -87,7 +88,11 @@ class FlagCoeffs:
     real: bool = False
 
 
+@lru_cache(maxsize=64)
 def build_ball_scheme(L, P, tau=1.0):
+    """Scheme of band-limits (L, P) and radial scale tau. Cached, like the
+    radial and angular schemes it pairs: every caller of the same arguments
+    shares one scheme, and its arrays are read-only."""
     radial = laguerre.build_radial_scheme(P, tau)
     angular = sht.build_angular_scheme(L)
     return BallScheme(radial=radial, angular=angular, R=float(radial.nodes[-1]))

@@ -24,16 +24,10 @@ reconstruction, are then float arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import flag, sht, tiling
-
-
-@lru_cache(maxsize=64)
-def _cached_scheme(L, P, tau):
-    return flag.build_ball_scheme(L, P, tau)
 
 
 def scale_scheme(scheme, params, j, jp, multires):
@@ -42,7 +36,7 @@ def scale_scheme(scheme, params, j, jp, multires):
     if not multires:
         return scheme
     Lj, Pjp = tiling.kernel_bandlimits(params, j, jp)
-    return _cached_scheme(Lj, Pjp, scheme.tau)
+    return flag.build_ball_scheme(Lj, Pjp, scheme.tau)
 
 
 def _packed_kernel(kern2d, L_red, P_red):

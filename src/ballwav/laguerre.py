@@ -18,6 +18,7 @@ last axis. The wrapper types that carry band-limits live in flag.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -152,8 +153,11 @@ class RadialScheme:
         return self.tau**3 * np.exp(self.log_weights)
 
 
+@lru_cache(maxsize=64)
 def build_radial_scheme(P, tau=1.0):
-    """Construct the P-node radial scheme with scale factor tau."""
+    """Construct the P-node radial scheme with scale factor tau.
+
+    Cached: every caller of one (P, tau) shares the scheme and its tables."""
     if P < 1:
         raise ValueError("P must be >= 1")
     if not (tau > 0 and np.isfinite(tau)):
@@ -174,20 +178,16 @@ def build_radial_scheme(P, tau=1.0):
     # M[p][i] = tau^3 w_i K_p(r_i), assembled in log space so every entry is finite
     weighted = up * np.sign(mant[:P]) * np.exp(log_w[None, :] + logabs[:P])
     node_synth = (down * np.ldexp(mant[:P], ex2[:P])).T
-    return RadialScheme(
-        P=P,
-        tau=float(tau),
-        nodes=tau * x,
-        log_weights=log_w,
-        weighted_basis=weighted,
-        node_synthesis=node_synth,
-    )
+    nodes = tau * x
+    for a in (nodes, log_w, weighted, node_synth):
+        a.flags.writeable = False  # cached: every caller shares them
+    return RadialScheme(P=P, tau=float(tau), nodes=nodes, log_weights=log_w,
+                        weighted_basis=weighted, node_synthesis=node_synth)
 
 
 def tau_for_radius(P, R):
     """Scale factor placing the outermost node at radius R."""
-    x = _nodes_unscaled(P)
-    return R / x[-1]
+    return R / build_radial_scheme(P, 1.0).nodes[-1]
 
 
 def basis_k(scheme, p, r):

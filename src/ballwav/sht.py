@@ -200,8 +200,11 @@ class AngularScheme:
         return (self.n_theta, self.n_phi)
 
 
+@lru_cache(maxsize=64)
 def build_angular_scheme(L):
-    """Gauss-Legendre colatitudes and minimal equiangular longitudes for L."""
+    """Gauss-Legendre colatitudes and minimal equiangular longitudes for L.
+
+    Cached: every caller of one L shares the scheme and its Legendre table."""
     if L < 1:
         raise ValueError("L must be >= 1")
     xgl, wgl = np.polynomial.legendre.leggauss(L)
@@ -209,14 +212,12 @@ def build_angular_scheme(L):
     ct, w = xgl[order], wgl[order]
     st = np.sqrt(1.0 - ct * ct)
     F = 2 * L - 1
-    return AngularScheme(
-        L=L,
-        thetas=np.arccos(ct),
-        theta_weights=w,
-        n_phi=F,
-        phis=2.0 * np.pi * np.arange(F) / F,
-        _plm=_legendre_table(L, ct, st),
-    )
+    thetas, phis = np.arccos(ct), 2.0 * np.pi * np.arange(F) / F
+    plm = _legendre_table(L, ct, st)
+    for a in (thetas, w, phis, plm):
+        a.flags.writeable = False  # cached: every caller shares them
+    return AngularScheme(L=L, thetas=thetas, theta_weights=w, n_phi=F, phis=phis,
+                         _plm=plm)
 
 
 # Bytes of complex grid rows per block. One complex L=P=64 grid (8.3 MB) is

@@ -369,3 +369,28 @@ def test_empty_block_with_overflowing_dims_rejected():
     head = VALID[0][:ballfile._HEADER.size]
     with pytest.raises(ballfile.BallFileError):
         ballfile.from_bytes(head + ballfile._DIMS.pack(0, 2**32 - 1, 2**32 - 1))
+
+
+# a header band-limit whose scheme could never be built: the readers must
+# reject the grid from the header and the dims before they try
+HUGE_L = 10**5
+
+
+def test_unpack_samples_checks_the_grid_before_building_a_scheme():
+    data = ballfile.to_bytes(ballfile.BallFile(
+        kind=ballfile.KIND_SAMPLES, L=HUGE_L, P=1, tau=1.0, complex_payload=False,
+        samples=np.zeros((1, 1, 1))))
+    with pytest.raises(ballfile.BallFileError, match="sample grid"):
+        ballfile.unpack_samples(ballfile.from_bytes(data))
+
+
+def test_unpack_wavelets_checks_the_grid_before_building_a_scheme():
+    # a scale list that matches the tiling header, all parts 1x1x1
+    params = tiling.make_tiling_params(2.0, 2.0, HUGE_L, 3)
+    tiny = np.zeros((1, 1, 1))
+    data = ballfile.to_bytes(ballfile.BallFile(
+        kind=ballfile.KIND_WAVELETS, L=HUGE_L, P=3, tau=1.0,
+        complex_payload=False, lam=2.0, nu=2.0, J0=0, J0p=0, multires=True,
+        scaling=tiny, wavelets={s: tiny for s in params.scales}))
+    with pytest.raises(ballfile.BallFileError, match="scaling grid"):
+        ballfile.unpack_wavelets(ballfile.from_bytes(data))

@@ -1,6 +1,9 @@
 import contextlib
 import io
+import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -224,6 +227,20 @@ def test_denoise_rejects_corrupt_input(tmp_path, capsys):
     assert "format error" in err
 
 
+def test_denoise_rejects_a_grid_off_the_header(tmp_path, capsys):
+    # the samples grid is 1x1x1 under a header of L=10**5: a format error
+    # before any scheme of that band-limit is built
+    src = tmp_path / "in.flb"
+    ballfile.write_ballfile(src, ballfile.BallFile(
+        kind=ballfile.KIND_SAMPLES, L=10**5, P=1, tau=1.0,
+        complex_payload=False, samples=np.zeros((1, 1, 1))))
+    out = tmp_path / "o.flb"
+    rc, _, err = run(capsys, "denoise", "--input", str(src), "--output", str(out))
+    assert rc == 3
+    assert "format error" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("L, P, tau, code", [
     (4, 4, float("nan"), 3),
     (4, 4, float("inf"), 3),
@@ -346,6 +363,27 @@ def test_threads_flag_validation(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--threads", "0", "kernels", "--L", "4", "--P", "4"])
     assert exc.value.code == 2
+
+
+def test_import_defers_numpy_until_threads_are_pinned():
+    # a fresh interpreter: importing the CLI loads no numpy, so --threads can
+    # still set the BLAS pool size that numpy reads when it first loads
+    code = (
+        "import os, sys\n"
+        "import ballwav.cli as cli\n"
+        "assert 'numpy' not in sys.modules\n"
+        "rc = cli.main(['--threads', '2', 'roundtrip', '--L', '4', '--P', '4'])\n"
+        "assert rc == 0, rc\n"
+        "assert os.environ['OPENBLAS_NUM_THREADS'] == '2'\n"
+        "assert 'numpy' in sys.modules\n")
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(cli.CSV_HEADER)
 
 
 def test_fit_loglog_slope_recovers_power():

@@ -279,8 +279,9 @@ def test_pipeline_improves_snr():
 
 def test_pipeline_reuses_cached_schemes(monkeypatch):
     # every per-scale scheme, in the transform and in the noise prediction,
-    # comes from the flaglet cache, so a second run builds no radial scheme;
-    # the noise prediction reads the basis at the nodes off those schemes
+    # comes from the cache of flag.build_ball_scheme, so a second run builds
+    # no radial scheme; the noise prediction reads the basis at the nodes off
+    # those schemes
     L = P = 16
     kern = _kernels(L, P)
     scheme = flag.build_ball_scheme(L, P)
@@ -298,7 +299,7 @@ def test_pipeline_reuses_cached_schemes(monkeypatch):
 
     for name in ("build_radial_scheme", "synthesis_matrix"):
         monkeypatch.setattr(laguerre, name, counted(getattr(laguerre, name)))
-    flaglet._cached_scheme.cache_clear()
+    flag.build_ball_scheme.cache_clear()
     denoise.denoise_pipeline(scheme, kern, clean, noisy, model)
     assert "build_radial_scheme" in calls
     calls.clear()

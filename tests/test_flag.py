@@ -13,6 +13,19 @@ def test_scheme_properties():
     assert sch.R == pytest.approx(sch.radial.nodes[-1])
 
 
+def test_schemes_are_cached_shared_and_read_only():
+    sch = flag.build_ball_scheme(8, 8)
+    assert flag.build_ball_scheme(8, 8) is sch
+    # one angular scheme per L and one radial scheme per (P, tau)
+    assert flag.build_ball_scheme(8, 5).angular is sch.angular
+    assert flag.build_ball_scheme(6, 8).radial is sch.radial
+    assert flag.build_ball_scheme(8, 8, tau=0.5).radial is not sch.radial
+    for arr in (sch.angular._plm, sch.angular.theta_weights,
+                sch.radial.weighted_basis, sch.radial.node_synthesis):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
+
 def test_unit_coefficient_monopole_shells():
     # coefficient (l, m, p) = (0, 0, 0) is angularly constant with radial
     # profile K_0, so every grid point on shell i carries K_0(r_i) * Y_00

@@ -209,3 +209,22 @@ def test_part_on_wrong_grid_raises():
     w.wavelets[(1, 1)] = np.zeros(scheme.grid_shape, dtype=complex)
     with pytest.raises(ValueError):
         flaglet.synthesis_to_coeffs(w, kernels, scheme)
+
+
+def test_multires_round_trip_at_the_L128_ceiling():
+    # a real signal at L=P=128, lambda=nu=2: 64 scales on 7 distinct
+    # band-limits per axis, which share the cached angular and radial schemes
+    L = P = 128
+    scheme, kernels = _setup(L, P)
+    subs = [flaglet.scale_scheme(scheme, kernels.params, j, jp, True)
+            for j, jp in kernels.params.scales]
+    assert len(subs) == 64
+    assert len({id(s.angular) for s in subs}) == 7
+    assert len({id(s.radial) for s in subs}) == 7
+    assert all(s.angular is scheme.angular for s in subs if s.L == L)
+    f = flag.random_coeffs(L, P, seed=11, real=True).values
+    sig = flag.flag_synthesis(scheme, f, real=True)
+    w = flaglet.flaglet_analysis(scheme, sig, kernels, multires=True)
+    back = flaglet.flaglet_synthesis(w, kernels, scheme)
+    assert not np.iscomplexobj(back.values)
+    assert np.max(np.abs(flag.flag_analysis(scheme, back.values) - f)) < 1e-9
