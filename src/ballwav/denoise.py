@@ -5,12 +5,18 @@ radial order: E|n_lmp|^2 = sigma^2 (p/P)^2. Because the wavelet transform is
 a known linear map, the standard deviation of each wavelet scale at each
 radial node follows in closed form, and a 3-sigma hard threshold on the
 wavelet samples removes most noise while keeping sparse features.
+
+denoise_pipeline is one walk over the wavelet parts: it samples a part,
+cuts it in place, analyses it back and drops it before the next, so it
+holds a part or two rather than the coefficient set. Its result is that of
+predict_sigma, hard_threshold and the flaglet pair run one after another,
+and a part's noise level comes from the one helper both use.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,8 +47,12 @@ class ThresholdPlan:
     multires: bool = True
 
     def __post_init__(self):
-        if not self.multiplier >= 0:
-            raise ValueError("multiplier must be nonnegative, got %r" % self.multiplier)
+        _check_multiplier(self.multiplier)
+
+
+def _check_multiplier(multiplier):
+    if not multiplier >= 0:
+        raise ValueError("multiplier must be nonnegative, got %r" % multiplier)
 
 
 def generate_noise(model):
@@ -69,17 +79,26 @@ def predict_sigma(kernels, model, scheme, multires=True):
     the node_synthesis of the scale's own radial scheme; its P covers every
     p at which the scale's kernel is nonzero.
     """
+    _check_bandlimits(kernels, model, scheme)
+    profiles = {key: _profile(model, sub, Pc, k)
+                for key, sub, (_, Pc), k in flaglet._parts(scheme, kernels, multires)
+                if key is not None}
+    return ThresholdPlan(profiles=profiles, multires=multires)
+
+
+def _check_bandlimits(kernels, model, scheme):
     prm = kernels.params
     if prm.L != model.L or prm.P != model.P or scheme.P != model.P:
         raise ValueError("band-limits of kernels, model, and scheme disagree")
+
+
+def _profile(model, sub, Pc, k):
+    """Noise level of the part of kernel k (flaglet._parts) at the radial
+    nodes of its grid scheme sub (see predict_sigma)."""
     ramp2 = (np.arange(model.P) / model.P) ** 2
-    profiles = {}
-    for key, sub, (_, Pc), k in flaglet._parts(scheme, kernels, multires):
-        if key is not None:
-            S = sub.radial.node_synthesis[:, :Pc]
-            weight = ramp2[:Pc] * np.einsum("pi,pi->p", k, k) / (4.0 * np.pi)
-            profiles[key] = model.sigma * np.sqrt((S * S) @ weight)
-    return ThresholdPlan(profiles=profiles, multires=multires)
+    S = sub.radial.node_synthesis[:, :Pc]
+    weight = ramp2[:Pc] * np.einsum("pi,pi->p", k, k) / (4.0 * np.pi)
+    return model.sigma * np.sqrt((S * S) @ weight)
 
 
 def hard_threshold(coeffs, plan):
@@ -97,10 +116,16 @@ def hard_threshold(coeffs, plan):
         prof = plan.profiles[key]
         if prof.shape != w.shape[:1]:
             raise ValueError("profile length does not match scale %s" % (key,))
-        cut = plan.multiplier * prof[:, None, None]
-        wavelets[key] = np.where(np.abs(w) < cut, 0.0, w)
+        wavelets[key] = _cut(w.copy(), prof, plan.multiplier)
     return flaglet.WaveletCoeffSet(params=coeffs.params, scaling=coeffs.scaling,
                                    wavelets=wavelets, multires=coeffs.multires)
+
+
+def _cut(w, prof, multiplier):
+    """Zero in place the samples of part w below multiplier times its noise
+    level prof at each radial node; returns w."""
+    np.copyto(w, 0.0, where=np.abs(w) < multiplier * prof[:, None, None])
+    return w
 
 
 def _log_norm(x):
@@ -177,19 +202,27 @@ def denoise_pipeline(scheme, kernels, clean, noisy, model, multires=True,
     """Threshold the wavelet coefficients of a noisy signal; report both SNRs.
 
     The model's sigma must describe the noise actually present in noisy
-    (after any rescaling) for the predicted levels to be meaningful. Only
-    the thresholding step touches wavelet samples; the signal itself stays
-    in coefficient space. A real noisy signal (noisy.real, checked once)
-    runs on the real-signal path, and the denoised coefficients keep the
-    flag.
+    (after any rescaling) for the predicted levels to be meaningful. The
+    result equals synthesis_to_coeffs of hard_threshold of analysis_from_coeffs
+    under predict_sigma's plan, but comes from one walk over the parts
+    (flaglet._samples) that never holds the set: each part is sampled, cut
+    in place (every part but the scaling one) and analysed back into the
+    result at once. A real noisy signal (noisy.real, checked once) runs on
+    the real-signal path, and the denoised coefficients keep the flag.
     """
+    _check_bandlimits(kernels, model, scheme)
+    _check_multiplier(multiplier)
+    f = np.asarray(noisy.values)
+    den = np.zeros((scheme.P, scheme.L * scheme.L), dtype=complex)
     # noise near the top of double range can overflow: check what comes out
     with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = flaglet.analysis_from_coeffs(scheme, noisy.values, kernels,
-                                              multires=multires, real=noisy.real)
-        plan = replace(predict_sigma(kernels, model, scheme, multires=multires),
-                       multiplier=multiplier)
-        den = flaglet.synthesis_to_coeffs(hard_threshold(coeffs, plan), kernels, scheme)
+        if noisy.real:
+            sht.check_real(f)
+        for key, sub, (Lc, Pc), k, part in flaglet._samples(scheme, f, kernels,
+                                                            multires, noisy.real):
+            if key is not None:
+                _cut(part, _profile(model, sub, Pc, k), multiplier)
+            den[:Pc, : Lc * Lc] += k * flag.flag_analysis(sub, part, (Lc, Pc))
     if not np.all(np.isfinite(den)):
         raise ValueError("denoised coefficients leave double range (sigma %r)"
                          % model.sigma)

@@ -8,9 +8,14 @@ multiresolution mode a scale is sampled on its own (Lj, Pjp) grid, which is
 lossless, and at full resolution on the full grid. The scaling part always
 stays at full resolution. Every part is a plain array. _parts owns each
 part's grid (through scale_scheme, the one owner of that choice), its
-band-limits and its coefficient-space kernel, and analysis, synthesis and the
-noise plan of denoise all walk it. The frame is tight, so synthesis is the
-adjoint accumulation and the round trip is exact for band-limited signals.
+band-limits and its coefficient-space kernel, and analysis, synthesis and
+denoise all walk it. The frame is tight, so synthesis is the adjoint
+accumulation and the round trip is exact for band-limited signals.
+
+Analysis allocates a set's memory once: the parts are disjoint views into
+one block, sized from the walk, rather than one array each. An op then
+reuses the pages of the last one instead of faulting in fresh ones for each
+of its parts; a part kept alone keeps the whole block alive.
 
 The transform splits at the coefficient boundary: analysis_from_coeffs maps
 coefficients f[p, lm] to a WaveletCoeffSet and synthesis_to_coeffs maps one
@@ -23,6 +28,7 @@ reconstruction, are then float arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,26 +80,45 @@ def _parts(scheme, kernels, multires):
     block of the kernel sqrt(4 pi/(2l+1)) Psi_lp that maps the signal's
     coefficients to the part's: the full band for the scaling part, the
     kernel band-limits for a scale."""
-    prm = kernels.params
+    fac = flag.sqrt4pi_factor(scheme.L)
+    for key, sub, (Lc, Pc) in _grids(scheme, kernels.params, multires):
+        kern2d = kernels.phi if key is None else kernels.psi_scale(*key)
+        yield key, sub, (Lc, Pc), fac[: Lc * Lc] * _packed_kernel(kern2d, Lc, Pc)
+
+
+def _grids(scheme, prm, multires):
+    """The walk of _parts without the kernels: (key, grid scheme, (Lc, Pc))."""
     if scheme.L != prm.L or scheme.P != prm.P:
         raise ValueError("kernel band-limits do not match scheme")
-    fac = flag.sqrt4pi_factor(scheme.L)
-    yield None, scheme, (prm.L, prm.P), fac * _packed_kernel(kernels.phi, prm.L, prm.P)
+    yield None, scheme, (prm.L, prm.P)
     for j, jp in prm.scales:
-        Lc, Pc = tiling.kernel_bandlimits(prm, j, jp)
-        yield ((j, jp), scale_scheme(scheme, prm, j, jp, multires), (Lc, Pc),
-               fac[: Lc * Lc] * _packed_kernel(kernels.psi_scale(j, jp), Lc, Pc))
+        yield ((j, jp), scale_scheme(scheme, prm, j, jp, multires),
+               tiling.kernel_bandlimits(prm, j, jp))
 
 
-def _analysis(scheme, f, kernels, multires, real):
-    """WaveletCoeffSet of coefficients f; with real set, f is taken to be
+def _samples(scheme, f, kernels, multires, real):
+    """The walk of _parts with each part's samples appended, made one part at
+    a time from coefficients f; with real set, f is taken to be
     conjugate-symmetric and every part is sampled as a float array. The
     kernels depend on l alone, so each part keeps that symmetry and is not
     checked again."""
     if f.shape != (scheme.P, scheme.L * scheme.L):
         raise ValueError("coefficient band-limits do not match scheme")
-    parts = {key: flag.flag_synthesis(sub, f[:Pc, : Lc * Lc] * k, real, check=False)
-             for key, sub, (Lc, Pc), k in _parts(scheme, kernels, multires)}
+    for key, sub, (Lc, Pc), k in _parts(scheme, kernels, multires):
+        yield (key, sub, (Lc, Pc), k,
+               flag.flag_synthesis(sub, f[:Pc, : Lc * Lc] * k, real, check=False))
+
+
+def _analysis(scheme, f, kernels, multires, real):
+    """WaveletCoeffSet of coefficients f, its parts views into one block."""
+    n = sum(math.prod(sub.grid_shape)
+            for _, sub, _ in _grids(scheme, kernels.params, multires))
+    block = np.empty(n, dtype=float if real else complex)
+    parts, start = {}, 0
+    for key, _, _, _, part in _samples(scheme, f, kernels, multires, real):
+        parts[key] = block[start: start + part.size].reshape(part.shape)
+        parts[key][...] = part
+        start += part.size
     return WaveletCoeffSet(params=kernels.params, scaling=parts.pop(None),
                            wavelets=parts, multires=multires)
 

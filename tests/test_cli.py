@@ -157,21 +157,29 @@ def test_denoise_improves_snr(tmp_path, capsys, seed):
 def test_denoise_takes_the_real_path_for_a_real_coeff_file(tmp_path, capsys, monkeypatch):
     # a coefficient file carries no real flag; synth writes conjugate-symmetric
     # coefficients, so denoise must read the flag off them
-    from ballwav import flaglet
+    from ballwav import sht
 
-    seen = []
-    inner = flaglet.analysis_from_coeffs
-
-    def spy(*args, real=False, **kwargs):
-        seen.append(real)
-        return inner(*args, real=real, **kwargs)
-
-    monkeypatch.setattr(flaglet, "analysis_from_coeffs", spy)
     clean = _synth(tmp_path, capsys, L="8")
+    seen, checks = [], []
+    sample, check = flag.flag_synthesis, sht.check_real
+
+    def sample_spy(scheme, coeffs, real=False, **kwargs):
+        seen.append(real)
+        return sample(scheme, coeffs, real, **kwargs)
+
+    def check_spy(coeffs):
+        checks.append(coeffs.shape)
+        return check(coeffs)
+
+    monkeypatch.setattr(flag, "flag_synthesis", sample_spy)
+    monkeypatch.setattr(sht, "check_real", check_spy)
     rc, text, _ = run(capsys, "denoise", "--input", str(clean),
                       "--output", str(tmp_path / "den.flb"), "--snr-in", "5",
                       "--seed", "1")
-    assert rc == 0 and seen == [True]
+    # every part is sampled on the real path; the coefficients are checked
+    # twice: once to read the flag off the file, once by the pipeline
+    assert rc == 0 and seen and all(seen)
+    assert checks == [(8, 64)] * 2
     # the SNRs the complex path printed for this input and seed
     assert text.strip().splitlines()[1] == "5.0000,11.7435"
 

@@ -1,7 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ballwav import denoise, flag, flaglet, laguerre, sht, tiling
+
+from _memory import peak_above_inputs
 
 
 def _kernels(L, P, lam=2.0, nu=2.0):
@@ -275,6 +279,59 @@ def test_pipeline_improves_snr():
     # a real noisy signal gives real parts and a real result
     assert den.real
     sht.check_real(den.values)
+
+
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("multires", [True, False])
+def test_pipeline_is_the_threshold_of_the_coefficient_set(multires, real):
+    # the one walk gives the bytes of the public steps run one after another
+    L = P = 16
+    kern = _kernels(L, P)
+    scheme = flag.build_ball_scheme(L, P)
+    clean = denoise.make_sparse_signal(scheme, kern, seed=6)
+    noise = denoise.generate_noise(denoise.NoiseModel(1.0, L, P, seed=7))
+    scaled, alpha = denoise.scale_noise_to_snr(clean, noise, 5.0)
+    vals = clean.values + scaled.values
+    if not real:
+        vals = vals + 0.1j * alpha * flag.random_coeffs(L, P, seed=8).values
+    noisy = flag.FlagCoeffs(L, P, vals, real=real)
+    model = denoise.NoiseModel(alpha, L, P, seed=7)
+    den, snr_in, snr_out = denoise.denoise_pipeline(
+        scheme, kern, clean, noisy, model, multires=multires, multiplier=2.5)
+    plan = replace(denoise.predict_sigma(kern, model, scheme, multires=multires),
+                   multiplier=2.5)
+    w = denoise.hard_threshold(flaglet.analysis_from_coeffs(
+        scheme, vals, kern, multires=multires, real=real), plan)
+    kept = sum(np.count_nonzero(v) for v in w.wavelets.values())
+    assert 0 < kept < sum(v.size for v in w.wavelets.values())
+    want = flaglet.synthesis_to_coeffs(w, kern, scheme)
+    assert np.array_equal(den.values, want) and den.real == real
+    assert snr_in == denoise.snr(clean.values, vals)
+    assert snr_out == denoise.snr(clean.values, want)
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_pipeline_holds_a_few_parts_not_the_set(real):
+    # full resolution at L=P=32 makes 37 parts of one grid each; holding the
+    # set and its thresholded copy would take about 78 parts, the walk 5 to 7
+    L = P = 32
+    kern = _kernels(L, P)
+    scheme = flag.build_ball_scheme(L, P)
+    clean = denoise.make_sparse_signal(scheme, kern, seed=1)
+    model = denoise.NoiseModel(0.01, L, P, seed=2)
+    vals = clean.values + denoise.generate_noise(model).values
+    if not real:
+        vals = vals + 0.01j * flag.random_coeffs(L, P, seed=3).values
+    noisy = flag.FlagCoeffs(L, P, vals, real=real)
+
+    def run():
+        return denoise.denoise_pipeline(scheme, kern, clean, noisy, model,
+                                        multires=False)
+
+    run()  # fill the lazy caches outside the measurement
+    peak, _ = peak_above_inputs(run)
+    part = np.empty(scheme.grid_shape, dtype=float if real else complex).nbytes
+    assert peak <= 10 * part
 
 
 def test_pipeline_reuses_cached_schemes(monkeypatch):

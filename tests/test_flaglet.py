@@ -30,6 +30,23 @@ def test_round_trip(multires):
         assert np.max(np.abs(wc.wavelets[s] - w.wavelets[s])) < 1e-12
 
 
+@pytest.mark.parametrize("real", [False, True])
+@pytest.mark.parametrize("multires", [False, True])
+def test_parts_are_disjoint_views_into_one_block(multires, real):
+    # writing into one part leaves every other part byte-unchanged
+    scheme, kernels = _setup(L=8, P=8)
+    f = flag.random_coeffs(8, 8, seed=5, real=real).values
+    w = flaglet.analysis_from_coeffs(scheme, f, kernels, multires=multires, real=real)
+    parts = [w.scaling, *w.wavelets.values()]
+    assert len({id(p.base) for p in parts}) == 1 and parts[0].base is not None
+    before = [p.tobytes() for p in parts]
+    for i, part in enumerate(parts):
+        part[...] = np.nan
+        assert [p.tobytes() for j, p in enumerate(parts) if j != i] \
+            == before[:i] + before[i + 1:]
+        part[...] = np.frombuffer(before[i], dtype=part.dtype).reshape(part.shape)
+
+
 def test_multires_and_full_reconstructions_agree():
     scheme, kernels = _setup()
     sig = flag.flag_synthesis(scheme, flag.random_coeffs(16, 16, seed=9).values)

@@ -9,6 +9,8 @@ from scipy.special import sph_harm_y
 
 from ballwav import sht
 
+from _memory import peak_above_inputs
+
 
 def random_sph_coeffs(L, seed):
     rng = np.random.default_rng(seed)
@@ -272,8 +274,6 @@ def test_check_real_bound():
 
 
 def test_check_real_runs_in_blocks_of_rows(monkeypatch):
-    import tracemalloc
-
     from ballwav import flag
 
     L = P = 32
@@ -294,12 +294,6 @@ def test_check_real_runs_in_blocks_of_rows(monkeypatch):
     monkeypatch.setattr(sht, "_BLOCK_BYTES", budget)
     assert len(sht._blocks(P, 16 * L * L)) == P // 4
     assert verdict(f) is None and verdict(g) == one_block
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        sht.check_real(f)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    peak, _ = peak_above_inputs(lambda: sht.check_real(f))
     # the coefficients take 0.5 MB; in one pass the temporaries took 1.9 times that
     assert peak <= 4 * budget

@@ -3,12 +3,12 @@ split must give the bytes one block gives, and the peak memory must follow
 the budget rather than the grid. The real path runs in one call; its cases
 hold it to the same bytes under any budget."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from ballwav import flag, sht
+
+from _memory import peak_above_inputs
 
 
 def _same_bytes(a, b):
@@ -67,16 +67,6 @@ def test_blocks_match_one_block(monkeypatch, L, rows):
         assert _same_bytes(call(), want), name
 
 
-def _peak_above_inputs(call):
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        out = call()
-        return tracemalloc.get_traced_memory()[1] - base, out
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("direction", ["analysis", "synthesis"])
 def test_peak_memory_follows_the_budget(monkeypatch, direction):
     L = P = 32
@@ -88,9 +78,9 @@ def test_peak_memory_follows_the_budget(monkeypatch, direction):
     # not this line
     monkeypatch.setattr(sht, "_BLOCK_BYTES", budget, raising=False)
     if direction == "analysis":
-        peak, out = _peak_above_inputs(lambda: flag.flag_analysis(sch, grid))
+        peak, out = peak_above_inputs(lambda: flag.flag_analysis(sch, grid))
     else:
-        peak, out = _peak_above_inputs(lambda: flag.flag_synthesis(sch, f))
+        peak, out = peak_above_inputs(lambda: flag.flag_synthesis(sch, f))
     # one grid is 1.0 MB and one coefficient array 0.5 MB; unblocked, the
     # temporaries alone take several of them
     assert peak <= out.nbytes + 4 * budget
