@@ -6,11 +6,15 @@ a known linear map, the standard deviation of each wavelet scale at each
 radial node follows in closed form, and a 3-sigma hard threshold on the
 wavelet samples removes most noise while keeping sparse features.
 
-denoise_pipeline is one walk over the wavelet parts: it samples a part,
-cuts it in place, analyses it back and drops it before the next, so it
-holds a part or two rather than the coefficient set. Its result is that of
+denoise_pipeline is the flaglet walk (flaglet._walk) with a cut between
+each part's two radial matmuls: per angular scale j it makes the one angular
+synthesis that all of j's parts share, then samples a part, cuts it in place
+and adds its radial analysis into j's grid before the next part, and ends j
+with one forward spherical transform. It holds a part, j's two grids and a
+few temporaries rather than the coefficient set. Its result is that of
 predict_sigma, hard_threshold and the flaglet pair run one after another,
-and a part's noise level comes from the one helper both use.
+and a part's noise level comes from the one helper both use, which reads the
+factors ka_j, kb_jp of the part's kernel.
 """
 
 from __future__ import annotations
@@ -75,14 +79,14 @@ def predict_sigma(kernels, model, scheme, multires=True):
 
     The m-sum over spherical harmonics collapses, leaving
     sigma^2 sum_p (p/P)^2 K_p(r)^2 sum_lm k_lmp^2 / 4 pi per scale, where k is
-    the kernel the transform applies (flaglet._parts). K_p at the nodes is
-    the node_synthesis of the scale's own radial scheme; its P covers every
-    p at which the scale's kernel is nonzero.
+    the kernel the transform applies, k = ka_j[l] kb_jp[p]. K_p at the nodes
+    is the node_synthesis of the scale's own radial scheme; its P covers
+    every p at which the scale's kernel is nonzero.
     """
     _check_bandlimits(kernels, model, scheme)
-    profiles = {key: _profile(model, sub, Pc, k)
-                for key, sub, (_, Pc), k in flaglet._parts(scheme, kernels, multires)
-                if key is not None}
+    angular, radial = flaglet._axes(scheme, kernels, multires)
+    profiles = {(ang.j, rad.jp): _profile(model, ang, rad)
+                for ang in angular for rad in radial}
     return ThresholdPlan(profiles=profiles, multires=multires)
 
 
@@ -92,12 +96,13 @@ def _check_bandlimits(kernels, model, scheme):
         raise ValueError("band-limits of kernels, model, and scheme disagree")
 
 
-def _profile(model, sub, Pc, k):
-    """Noise level of the part of kernel k (flaglet._parts) at the radial
-    nodes of its grid scheme sub (see predict_sigma)."""
-    ramp2 = (np.arange(model.P) / model.P) ** 2
-    S = sub.radial.node_synthesis[:, :Pc]
-    weight = ramp2[:Pc] * np.einsum("pi,pi->p", k, k) / (4.0 * np.pi)
+def _profile(model, ang, rad):
+    """Noise level of the part of scale (ang.j, rad.jp) at the nodes of its
+    radial scheme (see predict_sigma). Its kernel is k = ka kb (flaglet._axes),
+    so sum_lm k^2 factors into kb^2 times sum_lm ka^2 = sum_l (2l+1) ka_l^2."""
+    ramp2 = (np.arange(rad.P) / model.P) ** 2
+    S = rad.scheme.node_synthesis[:, : rad.P]
+    weight = ramp2 * rad.kb * rad.kb * (ang.ka @ ang.ka / (4.0 * np.pi))
     return model.sigma * np.sqrt((S * S) @ weight)
 
 
@@ -164,18 +169,20 @@ def make_sparse_signal(scheme, kernels, n_atoms=6, seed=0):
     if n_atoms < 1:
         raise ValueError("a sparse signal needs at least one atom, got %r" % n_atoms)
     rng = np.random.default_rng(seed)
-    parts = {key: (bl, k) for key, _, bl, k in flaglet._parts(scheme, kernels, False)}
+    angular, radial = flaglet._axes(scheme, kernels, False)
+    prm = kernels.params
     vals = np.zeros((scheme.P, scheme.L * scheme.L), dtype=complex)
-    scales = kernels.params.scales
     for _ in range(n_atoms):
-        (Lc, Pc), k = parts[scales[rng.integers(len(scales))]]
+        j, jp = prm.scales[rng.integers(len(prm.scales))]
+        ang, rad = angular[j - prm.J0], radial[jp - prm.J0p]
         theta = np.arccos(rng.uniform(-1.0, 1.0))
         phi = rng.uniform(0.0, 2.0 * np.pi)
         r_a = rng.uniform(0.1 * scheme.R, 0.7 * scheme.R)
         amp = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.5)
-        y = sht.ylm_point(Lc, theta, phi)
-        krow = laguerre.synthesis_matrix(scheme.radial, np.array([r_a]))[0, :Pc]
-        vals[:Pc, : Lc * Lc] += amp * k * np.conj(y)[None, :] * krow[:, None]
+        y = sht.ylm_point(ang.L, theta, phi)
+        krow = laguerre.synthesis_matrix(scheme.radial, np.array([r_a]))[0, : rad.P]
+        vals[: rad.P, : ang.L * ang.L] += amp * np.outer(rad.kb * krow,
+                                                         ang.ka * np.conj(y))
     vals /= np.sqrt(np.sum(np.abs(vals) ** 2))
     return flag.FlagCoeffs(L=scheme.L, P=scheme.P, values=vals, real=True)
 
@@ -205,24 +212,26 @@ def denoise_pipeline(scheme, kernels, clean, noisy, model, multires=True,
     (after any rescaling) for the predicted levels to be meaningful. The
     result equals synthesis_to_coeffs of hard_threshold of analysis_from_coeffs
     under predict_sigma's plan, but comes from one walk over the parts
-    (flaglet._samples) that never holds the set: each part is sampled, cut
-    in place (every part but the scaling one) and analysed back into the
-    result at once. A real noisy signal (noisy.real, checked once) runs on
-    the real-signal path, and the denoised coefficients keep the flag.
+    (flaglet._walk) that never holds the set: each part is sampled, cut in
+    place (every part but the scaling one) and analysed back at once. A real
+    noisy signal (noisy.real, checked once) runs on the real-signal path, and
+    the denoised coefficients keep the flag.
     """
     _check_bandlimits(kernels, model, scheme)
     _check_multiplier(multiplier)
     f = np.asarray(noisy.values)
-    den = np.zeros((scheme.P, scheme.L * scheme.L), dtype=complex)
+
+    def cut(key, part, ang, rad):
+        if key is not None:
+            _cut(part, _profile(model, ang, rad), multiplier)
+        return part
+
     # noise near the top of double range can overflow: check what comes out
     with np.errstate(over="ignore", invalid="ignore"):
         if noisy.real:
             sht.check_real(f)
-        for key, sub, (Lc, Pc), k, part in flaglet._samples(scheme, f, kernels,
-                                                            multires, noisy.real):
-            if key is not None:
-                _cut(part, _profile(model, sub, Pc, k), multiplier)
-            den[:Pc, : Lc * Lc] += k * flag.flag_analysis(sub, part, (Lc, Pc))
+        den = flaglet._walk(scheme, kernels, flaglet._axes(scheme, kernels, multires),
+                            cut, f, noisy.real)
     if not np.all(np.isfinite(den)):
         raise ValueError("denoised coefficients leave double range (sigma %r)"
                          % model.sigma)

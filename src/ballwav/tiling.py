@@ -201,15 +201,20 @@ def make_tiling_params(lam, nu, L, P, J0=0, J0p=0):
 class TilingKernels:
     """Tabulated wavelet kernels psi[j, jp, l, p] and scaling kernel phi[l, p].
 
-    Scale axes are offset by (J0, J0p); use psi_scale for absolute indices.
-    Admissibility is checked at construction, so holding a TilingKernels is
-    proof of a tight frame; residual is the largest deviation of
-    4 pi/(2l+1) (phi^2 + sum psi^2) from one over all (l, p).
+    A wavelet kernel is separable: sqrt(4 pi/(2l+1)) psi[j, jp, l, p] is the
+    product ka[j, l] kb[jp, p] of an angular cutoff in l and a radial cutoff
+    in p, which are kept as tabulated. The scaling kernel is not separable.
+    Scale axes (of psi, ka and kb) are offset by (J0, J0p); use psi_scale for
+    absolute indices. Admissibility is checked at construction, so holding a
+    TilingKernels is proof of a tight frame; residual is the largest
+    deviation of 4 pi/(2l+1) (phi^2 + sum psi^2) from one over all (l, p).
     """
 
     params: TilingParams
     psi: np.ndarray = field(repr=False)
     phi: np.ndarray = field(repr=False)
+    ka: np.ndarray = field(repr=False)
+    kb: np.ndarray = field(repr=False)
     residual: float
 
     def psi_scale(self, j, jp):
@@ -244,7 +249,15 @@ def build_tiling(params):
     worst = float(residual.max())
     if worst > 1e-10:
         raise ArithmeticError("admissibility residual %g exceeds 1e-10" % worst)
-    return TilingKernels(params=params, psi=psi, phi=phi, residual=worst)
+    return TilingKernels(params=params, psi=psi, phi=phi, ka=ka, kb=kb,
+                         residual=worst)
+
+
+def scaling_bandlimits(params):
+    """(La, Pb): the scaling kernel vanishes where both l >= La and p >= Pb."""
+    La = min(_iceil(_pow(params.lam, params.J0)), params.L)
+    Pb = min(_iceil(_pow(params.nu, params.J0p)), params.P)
+    return La, Pb
 
 
 def kernel_bandlimits(params, j, jp):

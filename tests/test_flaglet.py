@@ -199,20 +199,31 @@ def test_scales_property_matches_params():
     assert np.max(np.abs(back.values - sig)) < 1e-9
 
 
-@pytest.mark.parametrize("L,P,lam,nu", [(16, 16, 2.0, 2.0), (12, 9, 3.0, 2.0)])
-def test_full_resolution_scale_matches_padded_synthesis(L, P, lam, nu):
-    # a full-resolution scale is computed at its kernel band-limits; it must
-    # equal the full-band synthesis of its zero-padded coefficient block, and
-    # the scaling part that of its full-band block
-    scheme, kernels = _setup(L=L, P=P, lam=lam, nu=nu)
+@pytest.mark.parametrize("L,P,lam,nu,J0,multires", [
+    pytest.param(16, 16, 2.0, 2.0, 0, False, id="16-16-2.0-2.0"),
+    pytest.param(12, 9, 3.0, 2.0, 0, False, id="12-9-3.0-2.0"),
+    pytest.param(12, 9, 3.0, 2.0, 1, False, id="12-9-3.0-2.0-J0=1"),
+    pytest.param(10, 14, 2.0, 2.0, 1, False, id="10-14-2.0-2.0-J0=1"),
+    pytest.param(16, 16, 2.0, 2.0, 0, True, id="16-16-2.0-2.0-multires"),
+    pytest.param(12, 9, 3.0, 2.0, 1, True, id="12-9-3.0-2.0-J0=1-multires"),
+    pytest.param(10, 14, 2.0, 2.0, 1, True, id="10-14-2.0-2.0-J0=1-multires"),
+])
+def test_full_resolution_scale_matches_padded_synthesis(L, P, lam, nu, J0, multires):
+    # a scale is computed from the factors of its kernel; at full resolution
+    # it must equal the full-band synthesis of its zero-padded coefficient
+    # block, in multires mode the synthesis of its (Lj, Pjp) block on the
+    # scale's own scheme, and the scaling part that of its full-band block
+    scheme, kernels = _setup(L=L, P=P, lam=lam, nu=nu, J0=J0, J0p=J0)
     f = flag.random_coeffs(L, P, seed=12).values
-    w = flaglet.analysis_from_coeffs(scheme, f, kernels, multires=False)
-    fac = flag.sqrt4pi_factor(L)
-    parts = {None: (w.scaling, kernels.phi)}
-    parts.update({s: (w.wavelets[s], kernels.psi_scale(*s)) for s in w.scales})
-    for part, kern2d in parts.values():
-        padded = fac[None, :] * f * flaglet._packed_kernel(kern2d, L, P)
-        ref = flag.flag_synthesis(scheme, padded)
+    w = flaglet.analysis_from_coeffs(scheme, f, kernels, multires=multires)
+    parts = [(scheme, w.scaling, kernels.phi)]
+    parts += [(flaglet.scale_scheme(scheme, kernels.params, *s, multires),
+               w.wavelets[s], kernels.psi_scale(*s)) for s in w.scales]
+    for sub, part, kern2d in parts:
+        Lc, Pc = sub.L, sub.P
+        block = (flag.sqrt4pi_factor(Lc)[None, :] * f[:Pc, : Lc * Lc]
+                 * flaglet._packed_kernel(kern2d, Lc, Pc))
+        ref = flag.flag_synthesis(sub, block)
         assert np.max(np.abs(part - ref)) < 1e-12
 
 
@@ -223,8 +234,15 @@ def test_part_on_wrong_grid_raises():
     w = flaglet.flaglet_analysis(scheme, sig, kernels, multires=True)
     assert flaglet.scale_scheme(scheme, kernels.params, 1, 1, True).grid_shape \
         != scheme.grid_shape
+    part = w.wavelets[(1, 1)]
     w.wavelets[(1, 1)] = np.zeros(scheme.grid_shape, dtype=complex)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\(1, 1\)"):
+        flaglet.synthesis_to_coeffs(w, kernels, scheme)
+    # nor may a part that would broadcast onto its scale's grid
+    w.wavelets[(1, 1)] = part
+    Pjp = flaglet.scale_scheme(scheme, kernels.params, 2, 1, True).P
+    w.wavelets[(2, 1)] = np.ones((Pjp, 1, 1), dtype=complex)
+    with pytest.raises(ValueError, match=r"\(2, 1\)"):
         flaglet.synthesis_to_coeffs(w, kernels, scheme)
 
 

@@ -170,6 +170,37 @@ def test_psi_matches_generator_products():
                     assert block[l, p] == pytest.approx(fac * ka * kb, abs=1e-10)
 
 
+FACTOR_CASES = [
+    (2.0, 3.0, 16, 16, 0, 0),
+    (1.7, 2.5, 24, 13, 1, 1),
+    (3.0, 2.0, 9, 20, 1, 2),
+]
+
+
+@pytest.mark.parametrize("lam, nu, L, P, J0, J0p", FACTOR_CASES)
+def test_kernel_factors_into_angular_times_radial(lam, nu, L, P, J0, J0p):
+    # sqrt(4 pi/(2l+1)) psi(j, jp) is the outer product of the angular factor
+    # of j and the radial factor of jp, at every scale of the offset table
+    kern = tiling.build_tiling(tiling.make_tiling_params(lam, nu, L, P, J0=J0, J0p=J0p))
+    prm = kern.params
+    assert kern.ka.shape == (prm.J + 1 - J0, L)
+    assert kern.kb.shape == (prm.Jp + 1 - J0p, P)
+    fac = np.sqrt(4.0 * np.pi / (2.0 * np.arange(L) + 1.0))
+    for j, jp in prm.scales:
+        want = np.outer(kern.ka[j - J0], kern.kb[jp - J0p])
+        got = fac[:, None] * kern.psi_scale(j, jp)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("lam, nu, L, P, J0, J0p", FACTOR_CASES)
+def test_scaling_kernel_lives_on_its_band_limits(lam, nu, L, P, J0, J0p):
+    # phi is nonzero exactly on the degrees l < La and the rows p < Pb
+    params = tiling.make_tiling_params(lam, nu, L, P, J0=J0, J0p=J0p)
+    La, Pb = tiling.scaling_bandlimits(params)
+    support = (np.arange(L)[:, None] < La) | (np.arange(P)[None, :] < Pb)
+    np.testing.assert_array_equal(tiling.build_tiling(params).phi > 0.0, support)
+
+
 def test_phi_matches_closed_form():
     params = tiling.make_tiling_params(2.0, 2.0, 16, 16, J0=1, J0p=2)
     kern = tiling.build_tiling(params)
