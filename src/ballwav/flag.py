@@ -165,18 +165,20 @@ def flag_synthesis(scheme, coeffs, real=False, *, check=True):
     return out
 
 
-def _radial(M, x, axis):
+def _radial(M, x, axis, out=None):
     """Real matrix M applied along axis -2 (coefficients) or -3 (grid) of x,
-    as one float matmul: complex x goes through its (re, im) view, so M is
-    never promoted to complex."""
-    cplx = np.iscomplexobj(x)
+    as one float matmul, written into out (contiguous, of x's dtype) when
+    given: complex x goes through its (re, im) view, so M is never promoted
+    to complex."""
     # the (re, im) float64 view needs complex128, not complex64
-    x = np.ascontiguousarray(x, dtype=complex if cplx else float)
-    flat = x.reshape(x.shape[:axis + 1] + (-1,))
-    out = M @ (flat.view(float) if cplx else flat)
-    if cplx:
-        out = out.view(complex)
-    return out.reshape(x.shape[:axis] + (M.shape[0],) + x.shape[axis + 1:])
+    x = np.ascontiguousarray(x, dtype=complex if np.iscomplexobj(x) else float)
+    if out is None:
+        out = np.empty(x.shape[:axis] + (M.shape[0],) + x.shape[axis + 1:], x.dtype)
+    # the trailing axes merge into one of known length: -1 fails on a zero batch
+    n = math.prod(x.shape[axis + 1:])
+    np.matmul(M, x.reshape(x.shape[:axis + 1] + (n,)).view(float),
+              out=out.reshape(out.shape[:axis + 1] + (n,)).view(float))
+    return out
 
 
 def ball_energy_quadrature(scheme, signal):

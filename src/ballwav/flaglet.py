@@ -193,7 +193,8 @@ def _walk(scheme, kernels, axes, visit, f=None, real=False, block=None):
         for rad in radial:
             key = (ang.j, rad.jp)
             shape = (rad.scheme.P,) + ang.scheme.grid_shape
-            part = None if f is None else _sample(rad.synthesis, G[: rad.P], empty(shape))
+            part = None if f is None else flag._radial(rad.synthesis, G[: rad.P], -3,
+                                                       empty(shape))
             back = visit(key, part, ang, rad)
             if Y is not None:
                 if back.shape != shape:
@@ -203,15 +204,6 @@ def _walk(scheme, kernels, axes, visit, f=None, real=False, block=None):
         if Y is not None:
             acc[:Pm, : ang.L * ang.L] += ang.ka * sht.sht_forward(ang.scheme, Y, ang.L)
     return acc
-
-
-def _sample(M, G, out):
-    """M applied along the radial axis of grids G, written into out, of G's
-    dtype: one float matmul, through the (re, im) view of a complex G as in
-    flag._radial."""
-    np.matmul(M, G.reshape(len(G), -1).view(float),
-              out=out.reshape(len(out), -1).view(float))
-    return out
 
 
 def _analysis(scheme, f, kernels, multires, real):

@@ -111,8 +111,10 @@ def check_real(coeffs):
         resid.append(np.max(np.abs(rows[s, i_n] - sign * np.conj(rows[s, i_m])),
                             initial=0.0))
         peak.append(np.max(np.abs(rows[s])))
-    resid = np.max(resid)  # a NaN carries through, and fails the test below
-    bound = 1e-10 * max(1.0, float(np.max(peak)))
+    # a NaN carries through, and fails the test below; a zero batch, with no
+    # rows, passes
+    resid = np.max(resid, initial=0.0)
+    bound = 1e-10 * max(1.0, float(np.max(peak, initial=0.0)))
     if not resid <= bound:
         raise ArithmeticError(
             "coefficients are not those of a real signal: conjugate-symmetry "

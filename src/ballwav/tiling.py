@@ -5,6 +5,11 @@ octave per axis, so that the squared kernels plus a scaling function sum to
 exactly one at every (l, p): the telescoping identity that makes the frame
 tight. Dilation factors lambda (angular) and nu (radial) need not be equal
 or integer.
+
+The cutoffs come from direct quadrature of their defining integral: fixed-order
+Gauss-Legendre sums on a log grid, with no interpolant between the grid
+points. They are within 1e-13 of the adaptive reference k_lambda at lambda in
+{1.05, 1.7, 2, 3, 10}.
 """
 
 from __future__ import annotations
@@ -14,8 +19,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
 
 
 def schwartz_s(t):
@@ -37,6 +40,8 @@ def _s_sq(lam, u):
 
 @lru_cache(maxsize=None)
 def _k_norm(lam):
+    from scipy.integrate import quad
+
     val, _ = quad(lambda u: _s_sq(lam, u) / u, 1.0 / lam, 1.0,
                   epsabs=1e-14, epsrel=1e-12, limit=200)
     return val
@@ -45,8 +50,9 @@ def _k_norm(lam):
 def k_lambda(lam, t):
     """Monotone cutoff: 1 below 1/lambda, 0 above 1, smooth between.
 
-    Direct adaptive quadrature of the defining integral ratio; the tabulated
-    fast path used by build_tiling is checked against this in the tests.
+    Direct adaptive quadrature of the defining integral ratio; the
+    fixed-order fast path used by build_tiling is checked against this in
+    the tests.
     """
     if lam <= 1.0:
         raise ValueError("dilation must exceed 1")
@@ -56,33 +62,40 @@ def k_lambda(lam, t):
         return 1.0
     if t >= 1.0:
         return 0.0
+    from scipy.integrate import quad
+
     num, _ = quad(lambda u: _s_sq(lam, u) / u, t, 1.0,
                   epsabs=1e-14, epsrel=1e-12, limit=200)
     return num / _k_norm(lam)
 
 
-@lru_cache(maxsize=None)
-def _k_interp(lam):
-    """Monotone cubic interpolant of k on a dense log grid over [1/lam, 1].
+def _log_segments(lam, a, b):
+    """Integrals of s_lambda(u)^2 du/u over [e^a, e^b], elementwise: 8-node
+    Gauss-Legendre in v = ln u, where du/u = dv."""
+    xg, wg = np.polynomial.legendre.leggauss(8)
+    mid = 0.5 * (b + a)
+    half = 0.5 * (b - a)
+    return _s_sq(lam, np.exp(mid[..., None] + half[..., None] * xg)) @ wg * half
 
-    Segment integrals by fixed-order Gauss-Legendre in log coordinates,
-    accumulated from the right; interpolation error is far below the
-    admissibility tolerance.
-    """
-    n_seg, order = 8192, 8
-    v = np.linspace(-math.log(lam), 0.0, n_seg + 1)
-    xg, wg = np.polynomial.legendre.leggauss(order)
-    mid = 0.5 * (v[1:] + v[:-1])
-    half = 0.5 * (v[1:] - v[:-1])
-    nodes = mid[:, None] + half[:, None] * xg[None, :]
-    seg = _s_sq(lam, np.exp(nodes)) @ wg * half
-    tail = np.zeros(n_seg + 1)
-    tail[:-1] = np.cumsum(seg[::-1])[::-1]
-    return PchipInterpolator(np.exp(v), tail / tail[0])
+
+@lru_cache(maxsize=None)
+def _k_table(lam):
+    """Edges v of 512 equal segments of [-ln lam, 0] and the integral from each
+    edge to 0, accumulated from the right; tail[0] is the normalisation."""
+    v = np.linspace(-math.log(lam), 0.0, 513)
+    tail = np.zeros(v.size)
+    tail[:-1] = np.cumsum(_log_segments(lam, v[:-1], v[1:])[::-1])[::-1]
+    return v, tail
 
 
 def _k_eval(lam, t):
-    """Vectorized k_lambda via the cached interpolant, exact in the flat regions."""
+    """Vectorized k_lambda by direct quadrature, exact in the flat regions.
+
+    In between, k is the tail integral from the grid edge at or above ln t
+    plus one Gauss-Legendre segment from ln t up to that edge, over the
+    normalisation: within 1e-13 of k_lambda at the dilations the tests
+    check, from 1.05 to 10.
+    """
     t = np.asarray(t, dtype=float)
     out = np.empty(t.shape)
     lo = t <= 1.0 / lam
@@ -91,7 +104,10 @@ def _k_eval(lam, t):
     out[lo] = 1.0
     out[hi] = 0.0
     if mid.any():
-        out[mid] = _k_interp(lam)(t[mid])
+        v, tail = _k_table(lam)
+        x = np.log(t[mid])
+        i = np.searchsorted(v, x)
+        out[mid] = (tail[i] + _log_segments(lam, x, v[i])) / tail[0]
     return out
 
 

@@ -259,12 +259,14 @@ def test_analysis_band_limits_are_a_slice(L, P, Lc, Pc):
         assert out.shape == (2, Pc, Lc * Lc)
         assert np.max(np.abs(out - full[:, :Pc, :Lc * Lc])) < 1e-12
     # a float grid takes the real path, with float matmuls on both axes; a
-    # float32 grid, batched or single, is read as float64
-    for g in (grid.real, grid.real.astype(np.float32), grid.real[0].astype(np.float32)):
+    # float32 grid, batched or single, is read as float64; a zero batch is empty
+    for g in (grid.real, grid.real.astype(np.float32), grid.real[0].astype(np.float32),
+              grid.real[:0]):
         real_path = flag.flag_analysis(sch, g, (Lc, Pc))
         complex_path = flag.flag_analysis(sch, g.astype(complex), (Lc, Pc))
         assert real_path.dtype == np.complex128
-        assert np.max(np.abs(real_path - complex_path)) < 1e-12
+        assert real_path.shape == complex_path.shape
+        assert np.max(np.abs(real_path - complex_path), initial=0.0) < 1e-12
 
 
 @pytest.mark.parametrize("L,P,Lc,Pc", REAL_BANDS)
@@ -275,11 +277,14 @@ def test_real_synthesis_matches_complex(L, P, Lc, Pc):
     grid = flag.flag_synthesis(sch, block, real=True)
     assert grid.dtype == np.float64 and grid.shape == (2,) + sch.grid_shape
     assert np.max(np.abs(grid - flag.flag_synthesis(sch, block))) < 1e-12
-    # complex64 coefficients, batched or single, are read as complex128
-    for b in (block.astype(np.complex64), block[0].astype(np.complex64)):
+    # complex64 coefficients, batched or single, are read as complex128; a
+    # zero batch is empty
+    for b in (block.astype(np.complex64), block[0].astype(np.complex64), block[:0]):
         grid = flag.flag_synthesis(sch, b, real=True)
         assert grid.dtype == np.float64
-        assert np.max(np.abs(grid - flag.flag_synthesis(sch, b.astype(complex)))) < 1e-12
+        complex_path = flag.flag_synthesis(sch, b.astype(complex))
+        assert grid.shape == complex_path.shape
+        assert np.max(np.abs(grid - complex_path), initial=0.0) < 1e-12
 
 
 @pytest.mark.parametrize("call", [

@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -47,13 +51,13 @@ def test_cutoff_argument_errors():
         tiling.k_lambda(2.0, -0.1)
 
 
-@pytest.mark.parametrize("lam", [2.0, 3.0, 1.7])
+@pytest.mark.parametrize("lam", [2.0, 3.0, 1.7, 1.05, 10.0])
 def test_cutoff_interpolant_matches_quadrature(lam):
-    # the tabulated fast path against the defining integral, mid region
+    # the fixed-order fast path against the adaptive defining integral
     ts = np.linspace(1.0 / lam + 1e-3, 1.0 - 1e-3, 23)
     fast = tiling._k_eval(lam, ts)
     slow = np.array([tiling.k_lambda(lam, t) for t in ts])
-    assert np.max(np.abs(fast - slow)) < 5e-11
+    assert np.max(np.abs(fast - slow)) < 1e-13
 
 
 def test_cutoff_interpolant_monotone():
@@ -61,6 +65,24 @@ def test_cutoff_interpolant_monotone():
     vals = tiling._k_eval(2.0, ts)
     assert np.all(np.diff(vals) <= 1e-15)
     assert vals[0] == 1.0 and vals[-1] == 0.0
+
+
+def test_import_path_loads_no_integrate_or_interpolate():
+    # a fresh interpreter, so that sys.modules holds only what the modules load
+    code = """
+import sys
+from ballwav import laguerre, sht, flag, tiling, flaglet, denoise, ballfile
+tiling.build_tiling(tiling.make_tiling_params(2.0, 2.0, 16, 16))
+print(" ".join(sorted(m for m in ("scipy.integrate", "scipy.interpolate")
+                      if m in sys.modules)))
+"""
+    src = str(pathlib.Path(tiling.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
 
 
 def test_generator_values():
