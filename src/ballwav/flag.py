@@ -9,7 +9,8 @@ band-limited block costs what its band-limits need on the full grid.
 
 The bridge evaluates the analytic overlap of the radial basis with spherical
 Bessel functions, giving Fourier-Bessel coefficients of band-limited signals
-as finite sums.
+as finite sums. Its moments take gammaln from scipy.special, imported on the
+bridge's first use, so importing flag loads numpy alone.
 
 Transforms are array-in, array-out: samples (..., P, n_theta, n_phi) and
 coefficients (..., P, L*L). BallSignal and FlagCoeffs wrap arrays only at
@@ -36,7 +37,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import laguerre, sht
 
@@ -279,6 +279,8 @@ def _mu_moment(ell, j, k, tau):
     Returns (value, condition) with condition = sum|terms|/|sum| of the
     hypergeometric series actually evaluated.
     """
+    from scipy.special import gammaln
+
     kt = tau * k
     z4 = 4.0 * kt * kt
     om = 1.0 / (1.0 + z4)  # = 1 - w

@@ -128,28 +128,24 @@ def _legendre_table(L, ct, st):
     entries with l < m are zero. Negative orders are not stored: callers use
     P_{l,-m} = (-1)^m P_lm.
     """
-    n = ct.size
-    plm = np.zeros((L, L, n))
+    plm = np.zeros((L, L, ct.size))
     with np.errstate(divide="ignore"):
         log_st = np.log(st)
+    m = np.arange(L)
     # sectorial seeds P_mm, log-space magnitude with (-1)^m sign
-    log_fac = 0.0
-    for m in range(L):
-        if m > 0:
-            log_fac += 0.5 * np.log((2 * m + 1) / (2.0 * m))
-        pmm = ((-1.0) ** m) * np.exp(log_fac + m * log_st) / _SQRT4PI
-        plm[m, m] = pmm
-        if m + 1 < L:
-            plm[m, m + 1] = np.sqrt(2 * m + 3.0) * ct * pmm
-        for ell in range(m + 2, L):
-            a = np.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - m * m))
-            b = np.sqrt(
-                (2.0 * ell + 1.0)
-                / (2.0 * ell - 3.0)
-                * ((ell - 1.0) ** 2 - m * m)
-                / (ell * ell - m * m)
-            )
-            plm[m, ell] = a * ct * plm[m, ell - 1] - b * plm[m, ell - 2]
+    log_fac = np.cumsum(np.append(0.0, 0.5 * np.log((2 * m[1:] + 1) / (2.0 * m[1:]))))
+    pmm = ((-1.0) ** m)[:, None] * np.exp(log_fac[:, None] + m[:, None] * log_st)
+    plm[m, m] = pmm / _SQRT4PI
+    k = m[:-1]
+    plm[k, k + 1] = np.sqrt(2 * k + 3.0)[:, None] * ct * plm[k, k]
+    # ascending l, every order m <= l-2 at once
+    for ell in range(2, L):
+        mm = m[:ell - 1, None]
+        a = np.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - mm * mm))
+        b = np.sqrt((2.0 * ell + 1.0) / (2.0 * ell - 3.0) * ((ell - 1.0) ** 2 - mm * mm)
+                    / (ell * ell - mm * mm))
+        rows = plm[:ell - 1]
+        rows[:, ell] = a * ct * rows[:, ell - 1] - b * rows[:, ell - 2]
     return plm
 
 

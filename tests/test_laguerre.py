@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import roots_genlaguerre
 
 from ballwav import laguerre
@@ -69,7 +70,7 @@ def test_tau_scales_nodes_but_not_weights():
                                0.125 * a.radial_quad_weights, rtol=1e-14)
 
 
-@pytest.mark.parametrize("P", [4, 16, 48])
+@pytest.mark.parametrize("P", [1, 2, 4, 16, 48])
 def test_nodes_and_weights_match_scipy(P):
     sch = laguerre.build_radial_scheme(P, tau=1.0)
     x_ref, w_ref = roots_genlaguerre(P, 2)
@@ -77,6 +78,17 @@ def test_nodes_and_weights_match_scipy(P):
     # the stored weight carries e^{x_i}; undoing it lands on scipy's convention
     ours = np.exp(sch.log_weights - sch.nodes)
     np.testing.assert_allclose(ours, w_ref, rtol=1e-11)
+
+
+@pytest.mark.parametrize("P", [2, 3, 16, 64, 256, 512])
+def test_dense_start_matches_tridiagonal_solver(P):
+    # the Golub-Welsch start, before Newton polish, against scipy's
+    # tridiagonal solver
+    k = np.arange(1, P)
+    ref = eigh_tridiagonal(2.0 * np.arange(P) + 3.0, np.sqrt(k * (k + 2.0)),
+                           eigvals_only=True)
+    x = laguerre._jacobi_eigenvalues(P)
+    assert np.max(np.abs(x - ref)) <= 8 * np.spacing(ref[-1])
 
 
 @pytest.mark.parametrize("P", [1, 2, 7, 64, 256])
