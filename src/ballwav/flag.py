@@ -123,7 +123,10 @@ def flag_analysis(scheme, signal, bandlimits=None):
         rows = np.einsum("pi,...itk->...ptk", B[:Pc], vals)
         return sht.sht_forward(scheme.angular, rows, Lc)
     shells = sht.sht_forward(scheme.angular, vals, Lc)
-    # B in place over column blocks: an output column needs only its own input
+    # B in place over column blocks: an output column needs only its own
+    # input. B is cast up front, as einsum would cast it through buffers that
+    # outweigh a small block.
+    B = B.astype(complex)
     for c in sht._blocks(shells.shape[-1], shells[..., 0].nbytes):
         shells[..., c] = np.einsum("pi,...il->...pl", B, shells[..., c])
     return shells
@@ -158,8 +161,12 @@ def flag_synthesis(scheme, coeffs, real=False, *, check=True):
         return np.einsum("ip,...ptk->...itk", S, rows.view(float)).view(complex)
     Lc = sht._bandlimit(scheme.angular, vals)
     out = np.empty(vals.shape[:-2] + scheme.grid_shape, dtype=complex)
-    # shell by shell block: the block's rows at the nodes go straight to out
-    for b in sht._blocks(scheme.P, out[..., 0, :, :].nbytes):
+    # a block of shells at a time, its rows at the nodes and their angular
+    # scratch within the budget, straight into out; S is cast as B is in
+    # flag_analysis
+    S = S.astype(np.result_type(S, vals))
+    row = 16 * Lc * Lc + sht._row_scratch(scheme.angular, Lc, False)
+    for b in sht._blocks(scheme.P, math.prod(vals.shape[:-2]) * row):
         rows = np.einsum("ip,...pl->...il", S[b], vals)
         sht._inverse_rows(scheme.angular, rows, out[..., b, :, :], Lc)
     return out

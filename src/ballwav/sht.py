@@ -10,23 +10,30 @@ Associated Legendre values come from the fully normalized ascending-l
 recurrence with the Condon-Shortley phase; the sectorial seed is assembled in
 log space so high orders degrade by harmless underflow instead of NaNs.
 
-A scheme stores one unweighted table of P_lm for m >= 0 only, L x L x L
-float64 values (16.8 MB at L=128). Both directions split the FFT bins into
-an m >= 0 and an m < 0 half and contract each against that table, taking
-P_{l,-m} = (-1)^m P_lm; the forward transform applies the quadrature
-weights to its FFT output in place. The layout follows the m-blocked,
-symmetry-halved one of McEwen & Wiaux 2011 and SHTns.
+A scheme stores one unweighted table of P_lm for m >= 0 only, as
+consecutive blocks of orders [m0, m1), each a dense float64 rectangle over
+the degrees l >= m0 and the L nodes that fits _BLOCK_BYTES. Up to L=101 the
+table is one L x L x L block (2.1 MB at L=64); above, the blocks skip most
+of the zeros l < m: 12.6 MB in 2 blocks at L=128 instead of 16.8 MB, and
+75 MB in 10 blocks at L=256 instead of 134 MB. Both directions split the FFT
+bins into an m >= 0 and an m < 0 half and contract each, block by block,
+against the table, taking P_{l,-m} = (-1)^m P_lm; the forward transform
+applies the quadrature weights to its FFT output in place. The layout
+follows the m-blocked, symmetry-halved one of McEwen & Wiaux 2011 and SHTns.
+Splitting the table changes no complex output: each einsum entry sums the
+same products in the same order, less the leading zeros l < m0.
 
 Coefficients at a band-limit Lc < L still live on the band-limit-L grid,
-but cost only what Lc needs: both directions contract the table block
-m, l < Lc and touch the 2Lc-1 FFT bins of orders |m| < Lc. sht_inverse reads
-Lc from its input; sht_forward takes it as an output band-limit.
+but cost only what Lc needs: both directions contract the table's orders
+and degrees below Lc and touch the 2Lc-1 FFT bins of orders |m| < Lc.
+sht_inverse reads Lc from its input; sht_forward takes it as an output
+band-limit.
 
 A real signal has conjugate-symmetric coefficients, f_{l,-m} = (-1)^m
 conj(f_lm), so only the m >= 0 half needs computing. sht_forward takes that
-path for any float grid: the bins m = 0..Lc-1, then one batched matmul of
-the table against their (re, im) pairs, laid out (m, theta, batch), so the
-real table is never promoted to complex; the m < 0 half is filled by
+path for any float grid: the bins m = 0..Lc-1, then per table block one
+batched matmul against their (re, im) pairs, laid out (m, theta, batch), so
+the real table is never promoted to complex; the m < 0 half is filled by
 symmetry. A float dtype marks a real grid, but nothing marks real
 coefficients, so the real inverse is taken only where a caller says so:
 flag_synthesis with real=True. It reads the m >= 0 half, contracts it the
@@ -42,16 +49,21 @@ above that measured crossover an rfft or irfft of all n_phi longitudes is
 cheaper.
 
 The complex transforms stream: leading axes are flattened into rows (grids
-or coefficient rows), and the work runs over blocks of rows holding at most
-_BLOCK_BYTES of complex grid, or one row. The budget bounds each block's
-temporaries (its FFT bins, binned halves and einsum outputs), so a transform
-holds its input, its output and a few budgets; sht_inverse builds a block's
-bins in its output and transforms them there. No value depends on the
-split: each row's FFT and each einsum entry is computed as in one call, and
-a grid up to L=P=64 is a single block. The real path takes all rows at
-once: over blocks of rows its forward matmul would round differently, as
-OpenBLAS rounds a column of a product differently with the column count,
-and its inverse would read the whole table for each block's little work.
+or coefficient rows), and the work runs over blocks of rows whose
+temporaries fit _BLOCK_BYTES, or one row (_row_scratch counts them: the FFT
+bins, one table block's binned half or einsum output, and its gathered
+cells). A block drops each einsum output and binned half once spent, so a
+transform holds its input, its output and about one budget; sht_inverse
+builds a block's bins in its output and transforms them there. No value
+depends on the split: each row's FFT and each einsum entry is computed as
+in one call, and a grid up to L=P=50 is a single block. The real path takes
+all rows at once: over blocks of rows its forward matmul would round
+differently, as OpenBLAS rounds a column of a product differently with the
+column count, and its inverse would read the whole table for each block's
+little work. Over blocks of the table its forward matmul can round
+differently too (by up to 3.5e-16 relative at L <= 40), as each order's
+product has fewer rows; its inverse, like every complex output, gave the
+same bytes in every test.
 """
 
 from __future__ import annotations
@@ -121,32 +133,69 @@ def check_real(coeffs):
             "residue %g exceeds %g" % (resid, bound))
 
 
-def _legendre_table(L, ct, st):
-    """Normalized P_lm at each node for m >= 0, shape (L, L, n_nodes).
+# Bytes of scratch per block: a complex transform runs over blocks of rows
+# whose temporaries (FFT bins, binned halves, einsum outputs) fit this
+# budget, and the Legendre table is stored as blocks of orders that each fit
+# it, so every table up to L=101 (8.2 MB at L=101) is one block.
+_BLOCK_BYTES = 8 << 20
 
-    Entry [m, l, t] holds P_lm(cos theta_t) with the Condon-Shortley phase;
-    entries with l < m are zero. Negative orders are not stored: callers use
-    P_{l,-m} = (-1)^m P_lm.
+
+def _blocks(n, item_bytes):
+    """Slices covering range(n), each holding as many items of item_bytes as
+    fit in _BLOCK_BYTES, and at least one."""
+    step = max(1, _BLOCK_BYTES // max(1, item_bytes))
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+
+
+def _order_spans(L, n):
+    """Orders [m0, m1) of each block of the band-limit-L table at n nodes:
+    from m0 = 0, each block takes as many orders as fit its (m1 - m0) x
+    (L - m0) x n float64 rectangle in _BLOCK_BYTES, and at least one."""
+    spans, m0 = [], 0
+    while m0 < L:
+        m1 = min(L, m0 + max(1, _BLOCK_BYTES // (8 * (L - m0) * n)))
+        spans.append((m0, m1))
+        m0 = m1
+    return spans
+
+
+def _legendre_blocks(L, ct, st, spans):
+    """Normalized P_lm at the nodes cos theta = ct for m >= 0, as one flat
+    buffer and a (m0, block) view into it per span [m0, m1) of orders.
+
+    A block has shape (m1 - m0, L - m0, n_nodes); entry [m - m0, l - m0, t]
+    holds P_lm(ct[t]) with the Condon-Shortley phase. Entries with l < m are
+    zero, and the degrees l < m0, zero for all of the block's orders, are not
+    stored. Negative orders are not stored: callers use P_{l,-m} = (-1)^m P_lm.
     """
-    plm = np.zeros((L, L, ct.size))
+    n = ct.size
+    sizes = [(m1 - m0) * (L - m0) * n for m0, m1 in spans]
+    buf = np.zeros(sum(sizes))
     with np.errstate(divide="ignore"):
         log_st = np.log(st)
     m = np.arange(L)
-    # sectorial seeds P_mm, log-space magnitude with (-1)^m sign
+    # sectorial seeds P_mm, log-space magnitude with (-1)^m sign, and P_m,m+1
     log_fac = np.cumsum(np.append(0.0, 0.5 * np.log((2 * m[1:] + 1) / (2.0 * m[1:]))))
     pmm = ((-1.0) ** m)[:, None] * np.exp(log_fac[:, None] + m[:, None] * log_st)
-    plm[m, m] = pmm / _SQRT4PI
-    k = m[:-1]
-    plm[k, k + 1] = np.sqrt(2 * k + 3.0)[:, None] * ct * plm[k, k]
-    # ascending l, every order m <= l-2 at once
-    for ell in range(2, L):
-        mm = m[:ell - 1, None]
-        a = np.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - mm * mm))
-        b = np.sqrt((2.0 * ell + 1.0) / (2.0 * ell - 3.0) * ((ell - 1.0) ** 2 - mm * mm)
-                    / (ell * ell - mm * mm))
-        rows = plm[:ell - 1]
-        rows[:, ell] = a * ct * rows[:, ell - 1] - b * rows[:, ell - 2]
-    return plm
+    pmm = pmm / _SQRT4PI
+    pm1 = np.sqrt(2 * m[:-1] + 3.0)[:, None] * ct * pmm[:-1]
+    blocks = []
+    for (m0, m1), start in zip(spans, np.cumsum([0] + sizes)):
+        blk = buf[start:start + (m1 - m0) * (L - m0) * n].reshape(m1 - m0, L - m0, n)
+        j = np.arange(m1 - m0)
+        blk[j, j] = pmm[m0:m1]
+        j = j[:min(m1, L - 1) - m0]
+        blk[j, j + 1] = pm1[m0:m1]
+        # ascending l, every order m0 <= m < m1 with m <= l-2 at once
+        for ell in range(m0 + 2, L):
+            mm = m[m0:min(m1, ell - 1), None]
+            a = np.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - mm * mm))
+            b = np.sqrt((2.0 * ell + 1.0) / (2.0 * ell - 3.0) * ((ell - 1.0) ** 2 - mm * mm)
+                        / (ell * ell - mm * mm))
+            rows = blk[:len(mm)]
+            rows[:, ell - m0] = a * ct * rows[:, ell - m0 - 1] - b * rows[:, ell - m0 - 2]
+        blocks.append((m0, blk))
+    return buf, tuple(blocks)
 
 
 @lru_cache(maxsize=64)
@@ -171,6 +220,23 @@ def _halves(L):
     return parts
 
 
+@lru_cache(maxsize=256)
+def _block_cells(Lc, m0, m1):
+    """The cells of _halves(Lc) with orders m0 <= |m| < m1, placed in one
+    table block's binned halves: (index, row, l) with row m - m0 for m >= 0,
+    and (index, row, l, (-1)^m) with row |m| - max(m0, 1) for m < 0; l is
+    counted from m0 in both."""
+    (i_p, r_p, l_p), (i_n, r_n, l_n, sign, _) = _halves(Lc)
+    p = (m0 <= r_p) & (r_p < m1)
+    n = (m0 <= r_n + 1) & (r_n + 1 < m1)
+    parts = ((i_p[p], r_p[p] - m0, l_p[p] - m0),
+             (i_n[n], r_n[n] + 1 - max(m0, 1), l_n[n] - m0, sign[n]))
+    for part in parts:
+        for a in part:
+            a.flags.writeable = False  # cached: every caller shares them
+    return parts
+
+
 def _conj_fill(vals):
     """Write the m < 0 half of packed coefficients vals (..., L*L) in place
     from the m > 0 half, as a real signal has it: f_{l,-m} = (-1)^m conj(f_lm)."""
@@ -180,7 +246,9 @@ def _conj_fill(vals):
 
 @dataclass(frozen=True)
 class AngularScheme:
-    """Sampling and the unweighted m >= 0 Legendre table for band-limit L."""
+    """Sampling and the unweighted m >= 0 Legendre table for band-limit L:
+    _plm holds the table's blocks back to back, and _plm_blocks a (m0, block)
+    view into it per block (see _legendre_blocks)."""
 
     L: int
     thetas: np.ndarray
@@ -188,6 +256,7 @@ class AngularScheme:
     n_phi: int
     phis: np.ndarray
     _plm: np.ndarray = field(repr=False)
+    _plm_blocks: tuple = field(repr=False)
 
     @property
     def n_theta(self):
@@ -211,23 +280,21 @@ def build_angular_scheme(L):
     st = np.sqrt(1.0 - ct * ct)
     F = 2 * L - 1
     thetas, phis = np.arccos(ct), 2.0 * np.pi * np.arange(F) / F
-    plm = _legendre_table(L, ct, st)
-    for a in (thetas, w, phis, plm):
+    plm, blocks = _legendre_blocks(L, ct, st, _order_spans(L, L))
+    for a in (thetas, w, phis, plm, *(blk for _, blk in blocks)):
         a.flags.writeable = False  # cached: every caller shares them
     return AngularScheme(L=L, thetas=thetas, theta_weights=w, n_phi=F, phis=phis,
-                         _plm=plm)
+                         _plm=plm, _plm_blocks=blocks)
 
 
-# Bytes of complex grid rows per block. One complex L=P=64 grid (8.3 MB) is
-# one block, so every grid up to that size runs as a single call.
-_BLOCK_BYTES = 8 << 20
-
-
-def _blocks(n, item_bytes):
-    """Slices covering range(n), each holding as many items of item_bytes as
-    fit in _BLOCK_BYTES, and at least one."""
-    step = max(1, _BLOCK_BYTES // max(1, item_bytes))
-    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+def _table_blocks(scheme, Lc):
+    """(m0, m1, table) for each table block holding orders below Lc: its
+    orders m0 <= m < m1 and degrees m0 <= l < Lc, as table[m - m0, l - m0, t]."""
+    for m0, blk in scheme._plm_blocks:
+        if m0 >= Lc:
+            break
+        m1 = min(m0 + len(blk), Lc)
+        yield m0, m1, blk[:m1 - m0, :Lc - m0]
 
 
 # Largest band-limit whose real longitude step is a direct DFT of its bins
@@ -258,10 +325,18 @@ def _dft_tables(F, Lc):
     return E, D
 
 
-def _by_rows(scheme, body, rows, out, Lc):
-    """body(scheme, rows[s], out[s], Lc) over blocks s of the leading axis."""
-    for s in _blocks(len(rows), 16 * scheme.n_theta * scheme.n_phi):
-        body(scheme, rows[s], out[s], Lc)
+def _row_scratch(scheme, Lc, forward):
+    """Bytes of temporaries per row that _forward_rows (forward) or
+    _inverse_rows holds at most at band-limit Lc: the FFT bins, one table
+    block's einsum output and the cells gathered from it; or one block's
+    binned half and then its einsum output, which outweighs the cells
+    gathered into the half."""
+    if forward:
+        bins = scheme.n_theta * (scheme.n_phi + (2 * Lc - 1 if Lc < scheme.L else 0))
+        return 16 * (bins + 2 * max((m1 - m0) * (Lc - m0)
+                                    for m0, m1, _ in _table_blocks(scheme, Lc)))
+    return 16 * max((m1 - m0) * (Lc - m0 + scheme.n_theta)
+                    for m0, m1, _ in _table_blocks(scheme, Lc))
 
 
 def sht_forward(scheme, samples, Lc=None):
@@ -281,28 +356,28 @@ def sht_forward(scheme, samples, Lc=None):
     if not np.iscomplexobj(vals):
         return _forward_real(scheme, vals, Lc)
     out = np.empty(vals.shape[:-2] + (Lc * Lc,), dtype=complex)
-    _by_rows(scheme, _forward_rows, vals.reshape((-1,) + scheme.grid_shape),
-             out.reshape(-1, Lc * Lc), Lc)
+    rows, flat = vals.reshape((-1,) + scheme.grid_shape), out.reshape(-1, Lc * Lc)
+    for s in _blocks(len(rows), _row_scratch(scheme, Lc, True)):
+        _forward_rows(scheme, rows[s], flat[s], Lc)
     return out
 
 
 def _forward_rows(scheme, vals, out, Lc):
     """sht_forward of complex grids vals (..., n_theta, n_phi) into out."""
-    plm = scheme._plm[:Lc, :Lc]
     G = np.fft.fft(vals, axis=-1)
     if Lc < scheme.L:  # keep bins m = 0..Lc-1 and m = -(Lc-1)..-1, in FFT order
         G = np.concatenate((G[..., :Lc], G[..., scheme.n_phi - Lc + 1:]), axis=-1)
     G *= (scheme.theta_weights * (2.0 * np.pi / scheme.n_phi))[:, None]
-    pos = np.einsum("mlt,...tm->...ml", plm, G[..., :Lc])
-    neg = np.einsum("mlt,...tm->...ml", plm[1:], G[..., :Lc - 1:-1])
-    # temporaries are dropped once spent, so that the allocator reuses them
-    del G
-    (i_p, r_p, l_p), (i_n, r_n, l_n, sign, _) = _halves(Lc)
-    out[..., i_p] = pos[..., r_p, l_p]
-    del pos
-    neg = neg[..., r_n, l_n]
-    neg *= sign
-    out[..., i_n] = neg
+    n = G.shape[-1]  # bin n - k holds order -k
+    # one einsum output at a time, dropped once its cells are out
+    for m0, m1, plm in _table_blocks(scheme, Lc):
+        (i_p, r_p, l_p), (i_n, r_n, l_n, sign) = _block_cells(Lc, m0, m1)
+        out[..., i_p] = np.einsum("mlt,...tm->...ml", plm, G[..., m0:m1])[..., r_p, l_p]
+        lo = max(m0, 1)  # order 0 has no m < 0 twin
+        neg = np.einsum("mlt,...tm->...ml", plm[lo - m0:],
+                        G[..., n - lo:n - m1:-1])[..., r_n, l_n]
+        neg *= sign
+        out[..., i_n] = neg
 
 
 def _forward_real(scheme, vals, Lc):
@@ -321,11 +396,17 @@ def _forward_real(scheme, vals, Lc):
     X = np.ascontiguousarray(G.reshape(-1, scheme.n_theta, Lc).transpose(2, 1, 0))
     del G
     X *= (scheme.theta_weights * (2.0 * np.pi / F))[:, None]
-    Y = np.matmul(scheme._plm[:Lc, :Lc], X.view(float)).view(complex)
+    # every block's product first, so that the bins are dropped before out is
+    # made; the products skip the zeros l < m0, so they outweigh neither
+    Y = [(m0, m1, np.matmul(plm, X[m0:m1].view(float)).view(complex))
+         for m0, m1, plm in _table_blocks(scheme, Lc)]
+    n = X.shape[-1]
     del X
-    (i_p, r_p, l_p), _ = _halves(Lc)
-    out = np.empty((Y.shape[-1], Lc * Lc), dtype=complex)
-    out[:, i_p] = Y[r_p, l_p].T
+    out = np.empty((n, Lc * Lc), dtype=complex)
+    for m0, m1, y in Y:
+        (i_p, r_p, l_p), _ = _block_cells(Lc, m0, m1)
+        out[:, i_p] = y[r_p, l_p].T
+    del Y, y
     _conj_fill(out)
     return out.reshape(batch + (Lc * Lc,))
 
@@ -347,25 +428,32 @@ def sht_inverse(scheme, coeffs):
     vals = np.asarray(coeffs)
     Lc = _bandlimit(scheme, vals)
     out = np.empty(vals.shape[:-1] + scheme.grid_shape, dtype=complex)
-    _by_rows(scheme, _inverse_rows, vals.reshape(-1, Lc * Lc),
-             out.reshape((-1,) + scheme.grid_shape), Lc)
+    rows, grids = vals.reshape(-1, Lc * Lc), out.reshape((-1,) + scheme.grid_shape)
+    for s in _blocks(len(rows), _row_scratch(scheme, Lc, False)):
+        _inverse_rows(scheme, rows[s], grids[s], Lc)
     return out
 
 
 def _inverse_rows(scheme, vals, H, Lc):
     """sht_inverse of coefficients vals (..., Lc*Lc) into complex grids H,
     which hold the FFT bins until the inverse FFT runs in place."""
-    F, plm = scheme.n_phi, scheme._plm[:Lc, :Lc]
-    (i_p, r_p, l_p), (i_n, r_n, l_n, sign, _) = _halves(Lc)
-    batch = vals.shape[:-1]
-    half = np.zeros(batch + (Lc, Lc), dtype=complex)
-    half[..., r_p, l_p] = vals[..., i_p]
-    H[..., :Lc] = np.einsum("mlt,...ml->...tm", plm, half)
-    half = np.zeros(batch + (Lc - 1, Lc), dtype=complex)
-    half[..., r_n, l_n] = sign * vals[..., i_n]
-    # bins F-Lc+1..F-1 hold m = -(Lc-1)..-1, the half's rows in reverse
-    H[..., F - Lc + 1:] = np.einsum("mlt,...ml->...tm", plm[1:], half)[..., ::-1]
-    del half
+    F, batch = scheme.n_phi, vals.shape[:-1]
+    for m0, m1, plm in _table_blocks(scheme, Lc):
+        (i_p, r_p, l_p), (i_n, r_n, l_n, sign) = _block_cells(Lc, m0, m1)
+        half = np.zeros(batch + (m1 - m0, Lc - m0), dtype=complex)
+        half[..., r_p, l_p] = vals[..., i_p]
+        H[..., m0:m1] = np.einsum("mlt,...ml->...tm", plm, half)
+        del half  # dropped before the m < 0 half is formed
+        lo = max(m0, 1)  # order 0 has no m < 0 twin
+        # formed first, so that its gathered operand is freed before the half is made
+        neg = sign * vals[..., i_n]
+        half = np.zeros(batch + (m1 - lo, Lc - m0), dtype=complex)
+        half[..., r_n, l_n] = neg
+        del neg
+        # bins F-m1+1..F-lo hold m = -(m1-1)..-lo, the half's rows in reverse
+        H[..., F - m1 + 1:F - lo + 1] = np.einsum("mlt,...ml->...tm", plm[lo - m0:],
+                                                  half)[..., ::-1]
+        del half
     if Lc < scheme.L:
         H[..., Lc:F - Lc + 1] = 0.0
     np.fft.ifft(H, axis=-1, out=H)
@@ -379,16 +467,19 @@ def _inverse_real(scheme, vals):
     Lc = _bandlimit(scheme, vals)
     batch = vals.shape[:-1]
     flat = vals.reshape(-1, Lc * Lc)
-    (i_p, r_p, l_p), _ = _halves(Lc)
-    # m-major (m, l, batch) layout, as in _forward_real
-    half = np.zeros((Lc, Lc, flat.shape[0]), dtype=complex)
-    half[r_p, l_p] = flat[:, i_p].T
-    H = np.matmul(scheme._plm[:Lc, :Lc].transpose(0, 2, 1),
-                  half.view(float)).view(complex)
-    del half
+    # m-major (m, l, batch) halves and (m, t, batch) bins, as in _forward_real
+    H = []
+    for m0, m1, plm in _table_blocks(scheme, Lc):
+        (i_p, r_p, l_p), _ = _block_cells(Lc, m0, m1)
+        half = np.zeros((m1 - m0, Lc - m0, flat.shape[0]), dtype=complex)
+        half[r_p, l_p] = flat[:, i_p].T
+        H.append((m0, m1, np.matmul(plm.transpose(0, 2, 1), half.view(float)).view(complex)))
+        del half
     # (batch, t, m) bins, in place of the rfft spectrum's first Lc bins
-    spec = np.ascontiguousarray(H.transpose(2, 1, 0))
-    del H
+    spec = np.empty((flat.shape[0], scheme.n_theta, Lc), dtype=complex)
+    for m0, m1, h in H:
+        spec[..., m0:m1] = h.transpose(2, 1, 0)
+    del H, h
     F = scheme.n_phi
     if Lc <= _DFT_MAX_BINS:
         out = spec.view(float).reshape(-1, 2 * Lc) @ _dft_tables(F, Lc)[1]
@@ -402,7 +493,8 @@ def ylm_point(L, theta, phi):
     """Y_lm(theta, phi) for all l < L, packed; used for pointwise evaluation."""
     ct = np.array([np.cos(theta)])
     st = np.array([np.sin(theta)])
-    plm = _legendre_table(L, ct, st)[:, :, 0]
+    _, ((_, plm),) = _legendre_blocks(L, ct, st, [(0, L)])
+    plm = plm[:, :, 0]
     ell, m = _lm_arrays(L)
     sign = np.where(m < 0, (-1.0) ** m, 1.0)
     return sign * plm[np.abs(m), ell] * np.exp(1j * m * phi)

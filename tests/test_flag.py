@@ -20,8 +20,9 @@ def test_schemes_are_cached_shared_and_read_only():
     assert flag.build_ball_scheme(8, 5).angular is sch.angular
     assert flag.build_ball_scheme(6, 8).radial is sch.radial
     assert flag.build_ball_scheme(8, 8, tau=0.5).radial is not sch.radial
-    for arr in (sch.angular._plm, sch.angular.theta_weights,
-                sch.radial.weighted_basis, sch.radial.node_synthesis):
+    for arr in (sch.angular._plm, *(blk for _, blk in sch.angular._plm_blocks),
+                sch.angular.theta_weights, sch.radial.weighted_basis,
+                sch.radial.node_synthesis):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0
 

@@ -55,6 +55,15 @@ def test_scheme_holds_one_legendre_table(L):
     assert held <= L * L * sch.n_theta * 8 + per_node
 
 
+def test_table_blocks_skip_the_zeros_above_the_budget():
+    # one L^3 table is 16.8 MB at L=128; two blocks of orders, each over the
+    # degrees l >= m0 of its first order, hold 12.6 MB within the 8 MiB budget
+    sch = sht.build_angular_scheme(128)
+    assert [(m0, len(blk)) for m0, blk in sch._plm_blocks] == [(0, 64), (64, 64)]
+    assert sch._plm.nbytes <= 12.6e6
+    assert sum(blk.nbytes for _, blk in sch._plm_blocks) == sch._plm.nbytes
+
+
 def test_invalid_band_limit():
     with pytest.raises(ValueError):
         sht.build_angular_scheme(0)
