@@ -169,6 +169,7 @@ def flag_synthesis(scheme, coeffs, real=False, *, check=True):
     for b in sht._blocks(scheme.P, math.prod(vals.shape[:-2]) * row):
         rows = np.einsum("ip,...pl->...il", S[b], vals)
         sht._inverse_rows(scheme.angular, rows, out[..., b, :, :], Lc)
+        del rows  # dropped before the next block's rows are formed
     return out
 
 

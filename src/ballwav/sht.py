@@ -12,10 +12,10 @@ log space so high orders degrade by harmless underflow instead of NaNs.
 
 A scheme stores one unweighted table of P_lm for m >= 0 only, as
 consecutive blocks of orders [m0, m1), each a dense float64 rectangle over
-the degrees l >= m0 and the L nodes that fits _BLOCK_BYTES. Up to L=101 the
+the degrees l >= m0 and the L nodes that fits _BLOCK_BYTES. Up to L=64 the
 table is one L x L x L block (2.1 MB at L=64); above, the blocks skip most
-of the zeros l < m: 12.6 MB in 2 blocks at L=128 instead of 16.8 MB, and
-75 MB in 10 blocks at L=256 instead of 134 MB. Both directions split the FFT
+of the zeros l < m: 10.3 MB in 5 blocks at L=128 instead of 16.8 MB, and
+70.0 MB in 36 blocks at L=256 instead of 134 MB. Both directions split the FFT
 bins into an m >= 0 and an m < 0 half and contract each, block by block,
 against the table, taking P_{l,-m} = (-1)^m P_lm; the forward transform
 applies the quadrature weights to its FFT output in place. The layout
@@ -56,7 +56,7 @@ cells). A block drops each einsum output and binned half once spent, so a
 transform holds its input, its output and about one budget; sht_inverse
 builds a block's bins in its output and transforms them there. No value
 depends on the split: each row's FFT and each einsum entry is computed as
-in one call, and a grid up to L=P=50 is a single block. The real path takes
+in one call, and a grid up to L=P=32 is a single block. The real path takes
 all rows at once: over blocks of rows its forward matmul would round
 differently, as OpenBLAS rounds a column of a product differently with the
 column count, and its inverse would read the whole table for each block's
@@ -136,8 +136,11 @@ def check_real(coeffs):
 # Bytes of scratch per block: a complex transform runs over blocks of rows
 # whose temporaries (FFT bins, binned halves, einsum outputs) fit this
 # budget, and the Legendre table is stored as blocks of orders that each fit
-# it, so every table up to L=101 (8.2 MB at L=101) is one block.
-_BLOCK_BYTES = 8 << 20
+# it. 2 MiB is one core's L2 cache on common x86 hosts, and the smallest
+# budget that keeps every table up to L=64 one block (the L=64 table is
+# exactly 2 MiB), so the Legendre steps of those band-limits run as one
+# einsum each.
+_BLOCK_BYTES = 2 << 20
 
 
 def _blocks(n, item_bytes):

@@ -213,13 +213,23 @@ def make_tiling_params(lam, nu, L, P, J0=0, J0p=0):
                         L=int(L), P=int(P))
 
 
+def _wavelet(ka, kb):
+    """Wavelet kernels ka[..., l] kb[..., p] sqrt((2l+1)/4 pi), indexed
+    [..., l, p]: one scale from an angular and a radial cutoff row, or every
+    scale from tables broadcast against each other."""
+    ells = np.arange(ka.shape[-1], dtype=float)
+    fac = np.sqrt((2.0 * ells + 1.0) / (4.0 * np.pi))
+    return ka[..., :, None] * kb[..., None, :] * fac[:, None]
+
+
 @dataclass(frozen=True)
 class TilingKernels:
-    """Tabulated wavelet kernels psi[j, jp, l, p] and scaling kernel phi[l, p].
+    """Wavelet kernels psi[j, jp, l, p] and the tabulated scaling kernel phi[l, p].
 
     A wavelet kernel is separable: sqrt(4 pi/(2l+1)) psi[j, jp, l, p] is the
     product ka[j, l] kb[jp, p] of an angular cutoff in l and a radial cutoff
-    in p, which are kept as tabulated. The scaling kernel is not separable.
+    in p. Only those cutoffs are tabulated; psi and psi_scale form the
+    kernels from them on demand. The scaling kernel is not separable.
     Scale axes (of psi, ka and kb) are offset by (J0, J0p); use psi_scale for
     absolute indices. Admissibility is checked at construction, so holding a
     TilingKernels is proof of a tight frame; residual is the largest
@@ -227,21 +237,27 @@ class TilingKernels:
     """
 
     params: TilingParams
-    psi: np.ndarray = field(repr=False)
     phi: np.ndarray = field(repr=False)
     ka: np.ndarray = field(repr=False)
     kb: np.ndarray = field(repr=False)
     residual: float
 
+    @property
+    def psi(self):
+        """Every wavelet kernel, psi[j - J0, jp - J0p, l, p]: (J+1-J0)(Jp+1-J0p)
+        L P doubles, formed anew on each access."""
+        return _wavelet(self.ka[:, None], self.kb[None])
+
     def psi_scale(self, j, jp):
         p = self.params
         if not (p.J0 <= j <= p.J and p.J0p <= jp <= p.Jp):
             raise ValueError("scale out of range")
-        return self.psi[j - p.J0, jp - p.J0p]
+        return _wavelet(self.ka[j - p.J0], self.kb[jp - p.J0p])
 
 
 def build_tiling(params):
-    """Tabulate all kernels and verify the sum-to-one identity pointwise.
+    """Tabulate the cutoffs and the scaling kernel, and verify the sum-to-one
+    identity pointwise.
 
     The cutoff values k(l / lam^j) are shared between the wavelet and
     scaling kernels, so the identity telescopes exactly up to rounding.
@@ -256,17 +272,17 @@ def build_tiling(params):
     ka = np.sqrt(np.clip(A[1:] - A[:-1], 0.0, None))
     kb = np.sqrt(np.clip(B[1:] - B[:-1], 0.0, None))
     fac = np.sqrt((2.0 * ells + 1.0) / (4.0 * np.pi))
-    psi = np.einsum("jl,kp->jklp", ka, kb) * fac[None, None, :, None]
     a = A[0][:, None]
     b = B[0][None, :]
     phi = fac[:, None] * np.sqrt(np.clip(a + b - a * b, 0.0, None))
+    # from the kernels' own psi, so that a caller summing it sees these bytes
+    psi = _wavelet(ka[:, None], kb[None])
     total = phi * phi + np.sum(psi * psi, axis=(0, 1))
     residual = np.abs(4.0 * np.pi / (2.0 * ells[:, None] + 1.0) * total - 1.0)
     worst = float(residual.max())
     if worst > 1e-10:
         raise ArithmeticError("admissibility residual %g exceeds 1e-10" % worst)
-    return TilingKernels(params=params, psi=psi, phi=phi, ka=ka, kb=kb,
-                         residual=worst)
+    return TilingKernels(params=params, phi=phi, ka=ka, kb=kb, residual=worst)
 
 
 def scaling_bandlimits(params):

@@ -56,12 +56,22 @@ def test_scheme_holds_one_legendre_table(L):
 
 
 def test_table_blocks_skip_the_zeros_above_the_budget():
-    # one L^3 table is 16.8 MB at L=128; two blocks of orders, each over the
-    # degrees l >= m0 of its first order, hold 12.6 MB within the 8 MiB budget
+    # one L^3 table is 16.8 MB at L=128; five blocks of orders, each over the
+    # degrees l >= m0 of its first order, hold 10.35 MB within the 2 MiB budget
     sch = sht.build_angular_scheme(128)
-    assert [(m0, len(blk)) for m0, blk in sch._plm_blocks] == [(0, 64), (64, 64)]
-    assert sch._plm.nbytes <= 12.6e6
+    assert [(m0, len(blk)) for m0, blk in sch._plm_blocks] == [
+        (0, 16), (16, 18), (34, 21), (55, 28), (83, 45)]
+    assert sch._plm.nbytes <= 10.4e6
     assert sum(blk.nbytes for _, blk in sch._plm_blocks) == sch._plm.nbytes
+
+
+@pytest.mark.parametrize("L", [8, 16, 32, 64])
+def test_tables_up_to_64_are_one_block(L):
+    # criterion 6 times the complex transform at these band-limits: each of
+    # its Legendre steps stays one einsum over the whole L^3 table
+    sch = sht.build_angular_scheme(L)
+    (m0, blk), = sch._plm_blocks
+    assert m0 == 0 and blk.shape == (L, L, L)
 
 
 def test_invalid_band_limit():

@@ -62,9 +62,15 @@ def _calls(L):
 @pytest.mark.parametrize("L", [5, 16, 33])
 def test_blocks_match_one_block(monkeypatch, L, rows):
     sch, calls = _calls(L)
-    row = 16 * sch.angular.n_theta * sch.angular.n_phi
-    # the largest input here, a batch of two grids, is one block by default
-    assert len(sht._blocks(2 * L, row)) == 1
+    ang = sch.angular
+    row = 16 * ang.n_theta * ang.n_phi
+    # the reference runs under a budget that takes the largest input here, a
+    # batch of two grids of L rows, in one block: three grid rows a row cover
+    # the most scratch any transform sizes its blocks by
+    monkeypatch.setattr(sht, "_BLOCK_BYTES", 2 * L * 3 * row)
+    scratch = max(sht._row_scratch(ang, L, True),
+                  16 * L * L + sht._row_scratch(ang, L, False))
+    assert len(sht._blocks(2 * L, scratch)) == 1
     expect = [call() for _, call in calls]
     budget = max(1, rows * row)
     monkeypatch.setattr(sht, "_BLOCK_BYTES", budget)
@@ -135,3 +141,21 @@ def test_peak_memory_follows_the_budget(monkeypatch, direction):
     # and the radial matrix a small fraction of one; sizing blocks by their
     # input row instead held 2.17 budgets in analysis and 3.07 in synthesis.
     assert peak <= out.nbytes + 1.5 * budget
+
+
+@pytest.mark.parametrize("direction", ["analysis", "synthesis"])
+def test_peak_memory_at_the_default_budget(direction):
+    # no patch: at L=P=128 the table is five blocks and the rows run in many
+    L = P = 128
+    sch = flag.build_ball_scheme(L, P)
+    rng = np.random.default_rng(7)
+    if direction == "analysis":
+        grid = rng.standard_normal(sch.grid_shape) + 1j * rng.standard_normal(sch.grid_shape)
+        peak, out = peak_above_inputs(lambda: flag.flag_analysis(sch, grid))
+    else:
+        f = flag.random_coeffs(L, P, seed=rng).values
+        peak, out = peak_above_inputs(lambda: flag.flag_synthesis(sch, f))
+    # the output takes 33.6 MB in analysis and 66.8 MB in synthesis; under an
+    # 8 MiB budget the scratch above it read 8.7 and 8.8 MB, and synthesis
+    # held one block's radial rows while it formed the next block's
+    assert peak <= out.nbytes + (4 << 20)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import pathlib
@@ -176,6 +177,18 @@ def test_admissibility_identity(lam, nu):
     residual = 4.0 * np.pi / (2.0 * ells[:, None] + 1.0) * total - 1.0
     assert np.max(np.abs(residual)) < 1e-10
     assert kern.residual == np.max(np.abs(residual))
+
+
+def test_kernels_hold_the_cutoffs_not_psi():
+    # psi and psi_scale are formed on demand from ka and kb: stored, psi takes
+    # (J+1)(Jp+1) L P doubles, 8.4 MB at L=P=128
+    kern = tiling.build_tiling(tiling.make_tiling_params(2.0, 2.0, 32, 32))
+    held = sum(v.nbytes for v in (getattr(kern, f.name) for f in dataclasses.fields(kern))
+               if isinstance(v, np.ndarray))
+    assert held == kern.ka.nbytes + kern.kb.nbytes + kern.phi.nbytes
+    assert kern.psi.shape == (6, 6, 32, 32)
+    for j, jp in kern.params.scales:
+        assert kern.psi_scale(j, jp).tobytes() == kern.psi[j, jp].tobytes()
 
 
 def test_psi_matches_generator_products():
