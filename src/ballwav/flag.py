@@ -23,11 +23,13 @@ real=True, which it checks once with sht.check_real and answers with a
 float grid. On that path the radial step is one float matmul too, on the
 real grid or on the (re, im) view of the coefficients.
 
-The complex full-band path streams its radial steps under the byte budget
-of sht: synthesis evaluates a block of shells at a time and transforms it
-straight into the output grid, and analysis applies the radial matrix in
-place over blocks of coefficient columns, each of which depends only on
-itself.
+On the complex path every radial step is an einsum of the real radial
+matrix with the float64 (re, im) view of its operand, which has the bytes
+of the matrix cast to complex at half the multiplies and no cast buffers.
+The full-band steps stream under the byte budget of sht: synthesis
+evaluates a block of shells at a time and transforms it straight into the
+output grid, and analysis applies the radial matrix in place over blocks of
+float columns of the coefficients, each of which depends only on itself.
 """
 
 from __future__ import annotations
@@ -120,15 +122,17 @@ def flag_analysis(scheme, signal, bandlimits=None):
             return sht.sht_forward(scheme.angular, _radial(B[:Pc], vals, -3), Lc)
         return _radial(B, sht.sht_forward(scheme.angular, vals, Lc), -2)
     if Pc < scheme.P:
-        rows = np.einsum("pi,...itk->...ptk", B[:Pc], vals)
-        return sht.sht_forward(scheme.angular, rows, Lc)
+        # the (re, im) float64 view needs contiguous complex128: complex64
+        # and sliced grids are converted once
+        pairs = np.ascontiguousarray(vals, dtype=complex).view(float)
+        rows = np.einsum("pi,...itk->...ptk", B[:Pc], pairs)
+        return sht.sht_forward(scheme.angular, rows.view(complex), Lc)
     shells = sht.sht_forward(scheme.angular, vals, Lc)
-    # B in place over column blocks: an output column needs only its own
-    # input. B is cast up front, as einsum would cast it through buffers that
-    # outweigh a small block.
-    B = B.astype(complex)
-    for c in sht._blocks(shells.shape[-1], shells[..., 0].nbytes):
-        shells[..., c] = np.einsum("pi,...il->...pl", B, shells[..., c])
+    # B in place over blocks of float columns of the (re, im) view: an
+    # output column needs only its own input
+    pairs = shells.view(float)
+    for c in sht._blocks(pairs.shape[-1], pairs[..., 0].nbytes):
+        pairs[..., c] = np.einsum("pi,...il->...pl", B, pairs[..., c])
     return shells
 
 
@@ -157,17 +161,16 @@ def flag_synthesis(scheme, coeffs, real=False, *, check=True):
         return sht._inverse_real(scheme.angular, _radial(S, vals, -2))
     if Pc < scheme.P:
         rows = sht.sht_inverse(scheme.angular, vals)
-        # contract (re, im) pairs so that the real S is not promoted to complex
         return np.einsum("ip,...ptk->...itk", S, rows.view(float)).view(complex)
     Lc = sht._bandlimit(scheme.angular, vals)
     out = np.empty(vals.shape[:-2] + scheme.grid_shape, dtype=complex)
     # a block of shells at a time, its rows at the nodes and their angular
-    # scratch within the budget, straight into out; S is cast as B is in
-    # flag_analysis
-    S = S.astype(np.result_type(S, vals))
+    # scratch within the budget, straight into out; the (re, im) view is
+    # taken as in flag_analysis, of float and int coefficients too
+    pairs = np.ascontiguousarray(vals, dtype=complex).view(float)
     row = 16 * Lc * Lc + sht._row_scratch(scheme.angular, Lc, False)
     for b in sht._blocks(scheme.P, math.prod(vals.shape[:-2]) * row):
-        rows = np.einsum("ip,...pl->...il", S[b], vals)
+        rows = np.einsum("ip,...pl->...il", S[b], pairs).view(complex)
         sht._inverse_rows(scheme.angular, rows, out[..., b, :, :], Lc)
         del rows  # dropped before the next block's rows are formed
     return out

@@ -5,6 +5,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -451,19 +452,62 @@ def _only_finite_values(path):
     return all(np.all(np.isfinite(a)) for a in parts if a is not None)
 
 
+def _run_edge(command, option, value):
+    """(exit code, stdout, whether the output file is missing or holds only
+    finite values) of a small run of command with option=value appended, or
+    --threads=value put before it."""
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
+        argv, out = _edge_argv(command, pathlib.Path(tmp))
+        if option == "--threads":  # a top-level option; it sets os.environ
+            argv = ["%s=%s" % (option, value)] + argv
+        else:
+            argv = argv + ["%s=%s" % (option, value)]
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                rc = cli.main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                rc = exc.code
+        written = out is not None and out.exists()
+        return rc, text.getvalue(), written, not written or _only_finite_values(out)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @given(case=st.sampled_from(_EDGE_CASES), value=st.sampled_from(_EDGE_FLOATS))
 @settings(max_examples=300, derandomize=True, deadline=None)
 def test_exit_codes_on_edge_floats(case, value):
-    command, option = case
-    with tempfile.TemporaryDirectory() as tmp:
-        argv, out = _edge_argv(command, pathlib.Path(tmp))
-        text = io.StringIO()
-        with contextlib.redirect_stdout(text), contextlib.redirect_stderr(io.StringIO()):
-            rc = cli.main(argv + ["%s=%s" % (option, value)])
-        assert rc in (0, 1, 2, 3)
-        if rc != 0:
-            assert out is None or not out.exists()
-        else:
-            assert "nan" not in text.getvalue().lower()
-            assert out is None or _only_finite_values(out)
+    rc, text, written, finite = _run_edge(*case, value)
+    assert rc in (0, 1, 2, 3)
+    if rc != 0:
+        assert not written
+    else:
+        assert "nan" not in text.lower()
+        assert finite
+
+
+# Every integer option of every subcommand, and the top-level --threads, on
+# the same small runs: sizes stay <= 8, so the 200 cases are cheap, and none
+# may fail other than as a usage error.
+_SMALL_INTS = ["-1", "0", "1", "2", "3", "4", "5", "8"]
+_TILING_INTS = ["--J0", "--J0p"]
+_INT_OPTIONS = {
+    "roundtrip": ["--L", "--P", "--seed", "--threads"] + _TILING_INTS,
+    "bench": ["--Lmin", "--Lmax", "--reps", "--seed"] + _TILING_INTS,
+    "denoise": ["--seed"] + _TILING_INTS,
+    "kernels": ["--L", "--P"] + _TILING_INTS,
+    "synth": ["--L", "--P", "--seed", "--atoms"] + _TILING_INTS,
+}
+_INT_CASES = [(c, o) for c, opts in _INT_OPTIONS.items() for o in opts]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(case=st.sampled_from(_INT_CASES), value=st.sampled_from(_SMALL_INTS))
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_exit_codes_on_small_integers(case, value):
+    rc, text, written, finite = _run_edge(*case, value)
+    assert rc in (0, 2)
+    if rc == 2:
+        assert not written
+    else:
+        assert "nan" not in text.lower()
+        assert finite

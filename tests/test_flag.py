@@ -320,3 +320,43 @@ def test_synthesis_of_a_block_matches_zero_padding(Lc, Pc):
     padded[:, :Pc, :Lc * Lc] = block
     diff = flag.flag_synthesis(sch, block) - flag.flag_synthesis(sch, padded)
     assert np.max(np.abs(diff)) < 1e-12
+
+
+def _inputs(x):
+    """x as complex128, complex64, float and int, and a non-contiguous slice."""
+    return {"complex128": x, "complex64": x.astype(np.complex64),
+            "float": x.real.copy(), "int": np.round(4 * x.real).astype(int),
+            "sliced": np.repeat(x, 2, axis=-1)[..., ::2]}
+
+
+@pytest.mark.parametrize("batch", [(), (2,)])
+@pytest.mark.parametrize("L,P", [(5, 7), (16, 16), (33, 33)])
+def test_complex_radial_steps_keep_the_bytes_of_a_complex_matrix(L, P, batch):
+    # the radial steps contract the real matrix against the (re, im) view of
+    # the complex operand; the bytes must be those of the matrix cast to
+    # complex, contracted by the same einsum
+    sch = flag.build_ball_scheme(L, P, tau=0.8)
+    ang, B = sch.angular, sch.radial.weighted_basis
+    S = sch.radial.node_synthesis
+    rng = np.random.default_rng(L + len(batch))
+    grid = (rng.standard_normal(batch + sch.grid_shape)
+            + 1j * rng.standard_normal(batch + sch.grid_shape))
+    coeffs = (rng.standard_normal(batch + (P, L * L))
+              + 1j * rng.standard_normal(batch + (P, L * L)))
+    Lc, Pc = max(1, L // 2), P - 2
+    for name, g in _inputs(grid).items():
+        if not np.iscomplexobj(g):
+            continue  # a float or int grid takes the real path
+        shells = sht.sht_forward(ang, g)
+        want = np.einsum("pi,...il->...pl", B.astype(complex), shells)
+        assert np.array_equal(flag.flag_analysis(sch, g), want), name
+        rows = np.einsum("pi,...itk->...ptk", B[:Pc].astype(complex), g)
+        want = sht.sht_forward(ang, rows, Lc)
+        assert np.array_equal(flag.flag_analysis(sch, g, (Lc, Pc)), want), name
+    for name, f in _inputs(coeffs).items():
+        rows = np.einsum("ip,...pl->...il", S.astype(complex), f)
+        assert np.array_equal(flag.flag_synthesis(sch, f), sht.sht_inverse(ang, rows)), name
+        f = f[..., :Pc, :Lc * Lc]
+        rows = sht.sht_inverse(ang, f)
+        want = np.einsum("ip,...ptk->...itk", S[:, :Pc].astype(complex), rows)
+        assert np.array_equal(flag.flag_synthesis(sch, f), want), name

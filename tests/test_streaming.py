@@ -157,5 +157,9 @@ def test_peak_memory_at_the_default_budget(direction):
         peak, out = peak_above_inputs(lambda: flag.flag_synthesis(sch, f))
     # the output takes 33.6 MB in analysis and 66.8 MB in synthesis; under an
     # 8 MiB budget the scratch above it read 8.7 and 8.8 MB, and synthesis
-    # held one block's radial rows while it formed the next block's
-    assert peak <= out.nbytes + (4 << 20)
+    # held one block's radial rows while it formed the next block's. Now it
+    # reads 3.48 MB in analysis (3.74 MB with a complex copy of the radial
+    # matrix) and 2.03 MB in synthesis (2.63 MB with a block's rows kept
+    # alive while the next block's are formed); each bound lies between.
+    bound = {"analysis": 7 << 19, "synthesis": 9 << 18}[direction]
+    assert peak <= out.nbytes + bound
