@@ -10,11 +10,14 @@ denoise_pipeline is the flaglet walk (flaglet._walk) with a cut between
 each part's two radial matmuls: per angular scale j it makes the one angular
 synthesis that all of j's parts share, then samples a part, cuts it in place
 and adds its radial analysis into j's grid before the next part, and ends j
-with one forward spherical transform. It holds a part, j's two grids and a
-few temporaries rather than the coefficient set. Its result is that of
-predict_sigma, hard_threshold and the flaglet pair run one after another,
-and a part's noise level comes from the one helper both use, which reads the
-factors ka_j, kb_jp of the part's kernel.
+with one forward spherical transform. It holds the result, one part, j's
+angular grid, one accumulation grid that every j reuses and the
+transforms' scratch, rather than the coefficient set: about 5 grids for a
+real signal at full resolution, where the set has one per scale. On a
+float part the cut compares -t < w < t, which forms no part-sized |w|.
+Its result is that of predict_sigma, hard_threshold and the flaglet pair run
+one after another, and a part's noise level comes from the one helper both
+use, which reads the factors ka_j, kb_jp of the part's kernel.
 """
 
 from __future__ import annotations
@@ -129,7 +132,11 @@ def hard_threshold(coeffs, plan):
 def _cut(w, prof, multiplier):
     """Zero in place the samples of part w below multiplier times its noise
     level prof at each radial node; returns w."""
-    np.copyto(w, 0.0, where=np.abs(w) < multiplier * prof[:, None, None])
+    t = multiplier * prof[:, None, None]
+    # on a float part, -t < w < t is |w| < t for every value, +-0, +-t and
+    # NaN included, and forms no part-sized |w|
+    below = np.abs(w) < t if np.iscomplexobj(w) else (w < t) & (w > -t)
+    np.copyto(w, 0.0, where=below)
     return w
 
 

@@ -29,7 +29,11 @@ trip is exact for band-limited signals.
 Analysis allocates a set's memory once: the parts are disjoint views into
 one block, sized from the walk's axes, rather than one array each. An op
 then reuses the pages of the last one instead of faulting in fresh ones for
-each of its parts; a part kept alone keeps the whole block alive.
+each of its parts; a part kept alone keeps the whole block alive. The walk
+holds each other array only until its last reader has run: it builds just
+the two slices of the scaling kernel it reads, drops a part once the part
+is analysed back and j's angular grid after j's last part, and every
+angular scale accumulates in one reused buffer sized for the largest grid.
 
 The transform splits at the coefficient boundary: analysis_from_coeffs maps
 coefficients f[p, lm] to a WaveletCoeffSet and synthesis_to_coeffs maps one
@@ -146,8 +150,9 @@ def _walk(scheme, kernels, axes, visit, f=None, real=False, block=None):
     the complex coefficients (P, L^2) of the parts returned, or None. With
     real set, f is taken to be conjugate-symmetric and every part is sampled
     as a float array; the kernels depend on l alone, so each part keeps that
-    symmetry and is not checked again. Parts analysed back
-    accumulate in a float grid per j with real set, a complex one otherwise.
+    symmetry and is not checked again. Parts analysed back accumulate, one j
+    at a time, in one buffer sized for the largest grid, float with real set
+    and complex otherwise.
     With block given, the parts are consecutive views into it, each written
     there by its radial matmul.
     """
@@ -165,31 +170,40 @@ def _walk(scheme, kernels, axes, visit, f=None, real=False, block=None):
         return block[start - math.prod(shape): start].reshape(shape)
 
     # the scaling kernel lives on rows p < Pb and on degrees l < La: its part
-    # is the sum of those two band-limited blocks' syntheses
+    # is the sum of those two band-limited blocks' syntheses, and only those
+    # two slices of its packed kernel are built
     La, Pb = tiling.scaling_bandlimits(kernels.params)
-    kphi = flag.sqrt4pi_factor(scheme.L) * _packed_kernel(kernels.phi, scheme.L, scheme.P)
+    ktop = flag.sqrt4pi_factor(scheme.L) * _packed_kernel(kernels.phi, scheme.L, Pb)
+    kleft = flag.sqrt4pi_factor(La) * _packed_kernel(kernels.phi, La, scheme.P)
     part = None
     if f is not None:
-        top = f[:Pb] * kphi[:Pb]
-        left = f[:, : La * La] * kphi[:, : La * La]
-        left[:Pb] = 0.0
         part = empty(scheme.grid_shape)
-        part[...] = flag.flag_synthesis(scheme, top, real, check=False)
+        part[...] = flag.flag_synthesis(scheme, f[:Pb] * ktop, real, check=False)
+        left = f[:, : La * La] * kleft
+        left[:Pb] = 0.0
         part += flag.flag_synthesis(scheme, left, real, check=False)
+        del left
     back = visit(None, part, None, None)
     acc = None
     if back is not None:
         acc = np.zeros((scheme.P, scheme.L * scheme.L), dtype=complex)
-        acc[:Pb] = kphi[:Pb] * flag.flag_analysis(scheme, back, (scheme.L, Pb))
-        acc[Pb:, : La * La] = (kphi[Pb:, : La * La]
+        acc[:Pb] = ktop * flag.flag_analysis(scheme, back, (scheme.L, Pb))
+        acc[Pb:, : La * La] = (kleft[Pb:]
                                * flag.flag_analysis(scheme, back, (La, scheme.P))[Pb:])
+    del part, back
     Pm = max(rad.P for rad in radial)
+    inverse = sht._inverse_real if real else sht.sht_inverse
+    Y = None
+    if acc is not None:
+        # every angular scale accumulates in one buffer, sized for the largest grid
+        ybuf = np.empty(Pm * max(math.prod(ang.scheme.grid_shape) for ang in angular),
+                        dtype)
     for ang in angular:
-        if f is not None:
-            rows = f[:Pm, : ang.L * ang.L] * ang.ka
-            G = sht._inverse_real(ang.scheme, rows) if real \
-                else sht.sht_inverse(ang.scheme, rows)
-        Y = None if acc is None else np.zeros((Pm,) + ang.scheme.grid_shape, dtype)
+        G = None if f is None else inverse(ang.scheme, f[:Pm, : ang.L * ang.L] * ang.ka)
+        if acc is not None:
+            Y = ybuf[: Pm * math.prod(ang.scheme.grid_shape)].reshape(
+                (Pm,) + ang.scheme.grid_shape)
+            Y[...] = 0.0
         for rad in radial:
             key = (ang.j, rad.jp)
             shape = (rad.scheme.P,) + ang.scheme.grid_shape
@@ -201,6 +215,8 @@ def _walk(scheme, kernels, axes, visit, f=None, real=False, block=None):
                     raise ValueError("part %s of shape %s is not on the grid of its "
                                      "scale, %s" % (key, back.shape, shape))
                 Y[: rad.P] += flag._radial(rad.analysis, back, -3)
+            del part, back
+        del G
         if Y is not None:
             acc[:Pm, : ang.L * ang.L] += ang.ka * sht.sht_forward(ang.scheme, Y, ang.L)
     return acc

@@ -5,6 +5,8 @@ import pytest
 
 from ballwav import flag, flaglet, sht, tiling
 
+from _memory import peak_above_inputs
+
 
 def _setup(L=16, P=16, lam=2.0, nu=2.0, J0=0, J0p=0):
     scheme = flag.build_ball_scheme(L, P)
@@ -263,3 +265,38 @@ def test_multires_round_trip_at_the_L128_ceiling():
     back = flaglet.flaglet_synthesis(w, kernels, scheme)
     assert not np.iscomplexobj(back.values)
     assert np.max(np.abs(flag.flag_analysis(scheme, back.values) - f)) < 1e-9
+
+
+def _peak_in_real_parts(scheme, call):
+    """(traced peak of call() in full real grids of scheme, its result),
+    after one untraced call fills the lazy caches."""
+    call()
+    peak, out = peak_above_inputs(call)
+    return peak / np.empty(scheme.grid_shape).nbytes, out
+
+
+def test_analysis_holds_little_above_the_set():
+    # full resolution, real, L=P=32: above its 37-part block the analysis
+    # holds one angular scale's coefficient rows and grid and the transforms'
+    # scratch, about 3.2 parts; keeping a grid past its angular scale takes
+    # it above 4
+    scheme, kernels = _setup(L=32, P=32)
+    f = flag.random_coeffs(32, 32, seed=6, real=True).values
+    peak, w = _peak_in_real_parts(
+        scheme, lambda: flaglet.analysis_from_coeffs(scheme, f, kernels, real=True))
+    parts = [w.scaling, *w.wavelets.values()]
+    assert len(parts) == 37 and {p.shape for p in parts} == {scheme.grid_shape}
+    assert peak - 37 <= 4
+
+
+def test_synthesis_accumulates_in_one_reused_grid():
+    # full resolution, real, L=P=32: the result, one accumulation grid that
+    # every angular scale reuses and the transforms' scratch, about 4.7
+    # parts; a fresh accumulation grid per angular scale, or the whole
+    # (P, L^2) scaling kernel, takes it above 5
+    scheme, kernels = _setup(L=32, P=32)
+    f = flag.random_coeffs(32, 32, seed=7, real=True).values
+    w = flaglet.analysis_from_coeffs(scheme, f, kernels, real=True)
+    peak, _ = _peak_in_real_parts(
+        scheme, lambda: flaglet.synthesis_to_coeffs(w, kernels, scheme))
+    assert peak <= 5
