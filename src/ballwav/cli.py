@@ -2,7 +2,7 @@
 
 Heavy imports are deferred into the command bodies so that --threads can pin
 the BLAS/OpenMP pools before numpy first loads. Exit codes: 0 ok, 1 tolerance
-exceeded, 2 usage, 3 file-format error.
+exceeded, 2 usage or a request too large for memory, 3 file-format error.
 """
 
 from __future__ import annotations
@@ -357,6 +357,11 @@ def main(argv=None):
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_FORMAT
+    except MemoryError as exc:
+        # band-limits too large for this host: a usage error, not a tolerance one
+        print("error: out of memory: %s" % (str(exc) or "an allocation failed"),
+              file=sys.stderr)
+        return EXIT_USAGE
     except Exception as exc:
         from . import ballfile
 

@@ -193,10 +193,13 @@ def _radial(M, x, axis, out=None):
 
 
 def ball_energy_quadrature(scheme, signal):
-    """Quadrature of integral |f|^2 r^2 dr dOmega over the ball grid."""
-    q = scheme.radial.radial_quad_weights
+    """Quadrature of integral |f|^2 r^2 dr dOmega over the ball grid. The
+    radial weights tau^3 w_i enter as w_i against |tau^1.5 f|^2: samples
+    scale as tau^-1.5, so both factors stay in double range at any tau a
+    scheme accepts, where tau^3 w_i may not."""
     w = scheme.angular.theta_weights * (2.0 * np.pi / scheme.angular.n_phi)
-    return np.einsum("i,t,...itp->...", q, w, np.abs(signal) ** 2)
+    return np.einsum("i,t,...itp->...", np.exp(scheme.radial.log_weights), w,
+                     np.abs(scheme.tau**1.5 * np.asarray(signal)) ** 2)
 
 
 def ball_convolve_axisym(f, h):
@@ -209,7 +212,7 @@ def ball_convolve_axisym(f, h):
     ell, m = sht._lm_arrays(L)
     if np.any(np.abs(hv[..., m != 0]) > 0):
         raise ValueError("kernel is not axisymmetric: nonzero coefficients at m != 0")
-    h_ell = hv[..., ell * ell + ell]
+    h_ell = hv[..., sht.lm_index(ell, 0)]
     return sqrt4pi_factor(L) * fv * np.conj(h_ell)
 
 
@@ -220,8 +223,7 @@ def random_coeffs(L, P, seed, real=False):
     vals = (rng.standard_normal((P, L * L))
             + 1j * rng.standard_normal((P, L * L))) / np.sqrt(2.0)
     if real:
-        _, m_of = sht._lm_arrays(L)
-        zero = m_of == 0
+        zero = sht._mirror(L)[0]
         vals[:, zero] = np.sqrt(2.0) * vals[:, zero].real
         sht._conj_fill(vals)
     return FlagCoeffs(L=L, P=P, values=vals, real=real)

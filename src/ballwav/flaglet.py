@@ -66,7 +66,7 @@ def scale_scheme(scheme, params, j, jp, multires):
 
 def _packed_kernel(kern2d, L_red, P_red):
     """Kernel block (l, p) -> (p, packed lm) at reduced band-limits."""
-    return np.repeat(kern2d[:L_red, :P_red].T, 2 * np.arange(L_red) + 1, axis=1)
+    return np.take(kern2d[:L_red, :P_red].T, sht._lm_arrays(L_red)[0], axis=1)
 
 
 @dataclass(frozen=True)

@@ -155,7 +155,9 @@ class RadialScheme:
     @property
     def radial_quad_weights(self):
         """Weights q_i with integral f(r) r^2 dr = sum_i q_i f(r_i), exact for
-        band-limited-squared integrands: q_i = tau^3 * w_i."""
+        band-limited-squared integrands: q_i = tau^3 * w_i. Above tau of
+        about 1e100 the largest single weights leave double range, so
+        flag.ball_energy_quadrature takes tau^3 into the samples instead."""
         return self.tau**3 * np.exp(self.log_weights)
 
 

@@ -51,8 +51,8 @@ cheaper.
 The complex transforms stream: leading axes are flattened into rows (grids
 or coefficient rows), and the work runs over blocks of rows whose
 temporaries fit _BLOCK_BYTES, or one row (_row_scratch counts them: the FFT
-bins, one table block's binned half or einsum output, and its gathered
-cells). A block drops each einsum output and binned half once spent, so a
+bins, one table block's einsum output, and the cells gathered from or into
+it). A block drops each einsum output and operand once spent, so a
 transform holds its input, its output and about one budget; sht_inverse
 builds a block's bins in its output and transforms them there. No value
 depends on the split: each row's FFT and each einsum entry is computed as
@@ -113,8 +113,7 @@ def check_real(coeffs):
     pass over all rows."""
     vals = np.asarray(coeffs)
     L = packed_bandlimit(vals)
-    (i_p, r_p, _), (i_n, _, _, sign, i_m) = _halves(L)
-    i_z = i_p[r_p == 0]  # m = 0 mirrors itself
+    i_z, i_n, sign, i_m = _mirror(L)  # an m = 0 entry mirrors itself
     rows = vals.reshape(-1, L * L)
     resid, peak = [], []
     for s in _blocks(len(rows), 16 * L * L):
@@ -202,38 +201,30 @@ def _legendre_blocks(L, ct, st, spans):
 
 
 @lru_cache(maxsize=64)
-def _halves(L):
-    """Packed indices of the m >= 0 and the m < 0 coefficients, and their cells.
-
-    The Legendre step works on two binned halves indexed [row, l]: row m for
-    m >= 0, against table rows 0..L-1, and row |m| - 1 for m < 0, against
-    table rows 1..L-1. Returns (index, row, l) for the first half and
-    (index, row, l, (-1)^m, mirror) for the second, where mirror is the
-    packed index of (l, -m). None of it depends on the scheme band-limit, so
-    a lower band-limit L indexes a prefix of the cells.
-    """
+def _mirror(L):
+    """Packed indices of the m = 0 and of the m < 0 coefficients below L*L,
+    and for the latter (-1)^m and the packed index of their mirror (l, -m):
+    what a real signal's symmetry f_{l,-m} = (-1)^m conj(f_lm) reads."""
     ell, m = _lm_arrays(L)
-    pos = np.flatnonzero(m >= 0)
     neg = np.flatnonzero(m < 0)
-    parts = ((pos, m[pos], ell[pos]),
-             (neg, -m[neg] - 1, ell[neg], (-1.0) ** m[neg], neg - 2 * m[neg]))
-    for part in parts:
-        for a in part:
-            a.flags.writeable = False  # cached: every caller shares them
+    parts = (np.flatnonzero(m == 0), neg, (-1.0) ** m[neg], lm_index(ell[neg], -m[neg]))
+    for a in parts:
+        a.flags.writeable = False  # cached: every caller shares them
     return parts
 
 
 @lru_cache(maxsize=256)
 def _block_cells(Lc, m0, m1):
-    """The cells of _halves(Lc) with orders m0 <= |m| < m1, placed in one
-    table block's binned halves: (index, row, l) with row m - m0 for m >= 0,
-    and (index, row, l, (-1)^m) with row |m| - max(m0, 1) for m < 0; l is
-    counted from m0 in both."""
-    (i_p, r_p, l_p), (i_n, r_n, l_n, sign, _) = _halves(Lc)
-    p = (m0 <= r_p) & (r_p < m1)
-    n = (m0 <= r_n + 1) & (r_n + 1 < m1)
-    parts = ((i_p[p], r_p[p] - m0, l_p[p] - m0),
-             (i_n[n], r_n[n] + 1 - max(m0, 1), l_n[n] - m0, sign[n]))
+    """The packed indices below Lc*Lc with orders m0 <= |m| < m1, placed in
+    one table block's einsum output, indexed [row, l - m0]: (index, row, l)
+    with row m - m0 for m >= 0, and (index, row, l, (-1)^m) with row
+    |m| - max(m0, 1) for m < 0, as order 0 has no m < 0 twin."""
+    ell, m = _lm_arrays(Lc)
+    lo = max(m0, 1)
+    pos = np.flatnonzero((m0 <= m) & (m < m1))
+    neg = np.flatnonzero((-m1 < m) & (m <= -lo))
+    parts = ((pos, m[pos] - m0, ell[pos] - m0),
+             (neg, -m[neg] - lo, ell[neg] - m0, (-1.0) ** m[neg]))
     for part in parts:
         for a in part:
             a.flags.writeable = False  # cached: every caller shares them
@@ -243,7 +234,7 @@ def _block_cells(Lc, m0, m1):
 def _conj_fill(vals):
     """Write the m < 0 half of packed coefficients vals (..., L*L) in place
     from the m > 0 half, as a real signal has it: f_{l,-m} = (-1)^m conj(f_lm)."""
-    _, (i_n, _, _, sign, i_m) = _halves(packed_bandlimit(vals))
+    _, i_n, sign, i_m = _mirror(packed_bandlimit(vals))
     vals[..., i_n] = sign * np.conj(vals[..., i_m])
 
 
@@ -330,14 +321,13 @@ def _dft_tables(F, Lc):
 
 def _row_scratch(scheme, Lc, forward):
     """Bytes of temporaries per row that _forward_rows (forward) or
-    _inverse_rows holds at most at band-limit Lc: the FFT bins, one table
-    block's einsum output and the cells gathered from it; or one block's
-    binned half and then its einsum output, which outweighs the cells
-    gathered into the half."""
+    _inverse_rows holds at most at band-limit Lc: all n_phi FFT bins, one
+    table block's einsum output and the cells gathered from it; or one
+    block's zero-filled [row, l] operand and then its einsum output, which
+    outweighs the cells gathered into the operand."""
     if forward:
-        bins = scheme.n_theta * (scheme.n_phi + (2 * Lc - 1 if Lc < scheme.L else 0))
-        return 16 * (bins + 2 * max((m1 - m0) * (Lc - m0)
-                                    for m0, m1, _ in _table_blocks(scheme, Lc)))
+        return 16 * (scheme.n_theta * scheme.n_phi + 2 * max(
+            (m1 - m0) * (Lc - m0) for m0, m1, _ in _table_blocks(scheme, Lc)))
     return 16 * max((m1 - m0) * (Lc - m0 + scheme.n_theta)
                     for m0, m1, _ in _table_blocks(scheme, Lc))
 
@@ -368,10 +358,11 @@ def sht_forward(scheme, samples, Lc=None):
 def _forward_rows(scheme, vals, out, Lc):
     """sht_forward of complex grids vals (..., n_theta, n_phi) into out."""
     G = np.fft.fft(vals, axis=-1)
-    if Lc < scheme.L:  # keep bins m = 0..Lc-1 and m = -(Lc-1)..-1, in FFT order
-        G = np.concatenate((G[..., :Lc], G[..., scheme.n_phi - Lc + 1:]), axis=-1)
-    G *= (scheme.theta_weights * (2.0 * np.pi / scheme.n_phi))[:, None]
-    n = G.shape[-1]  # bin n - k holds order -k
+    n = scheme.n_phi  # bin n - k holds order -k
+    # only the bins of orders |m| < Lc are weighted and read
+    w = (scheme.theta_weights * (2.0 * np.pi / n))[:, None]
+    G[..., :Lc] *= w
+    G[..., n - Lc + 1:] *= w
     # one einsum output at a time, dropped once its cells are out
     for m0, m1, plm in _table_blocks(scheme, Lc):
         (i_p, r_p, l_p), (i_n, r_n, l_n, sign) = _block_cells(Lc, m0, m1)

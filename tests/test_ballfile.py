@@ -394,3 +394,33 @@ def test_unpack_wavelets_checks_the_grid_before_building_a_scheme():
         scaling=tiny, wavelets={s: tiny for s in params.scales}))
     with pytest.raises(ballfile.BallFileError, match="scaling grid"):
         ballfile.unpack_wavelets(ballfile.from_bytes(data))
+
+
+def test_to_bytes_rejects_a_sample_block_that_is_not_3d():
+    bf = ballfile.BallFile(kind=ballfile.KIND_SAMPLES, L=2, P=1, tau=1.0,
+                           complex_payload=False, samples=np.zeros((2, 3)))
+    with pytest.raises(ballfile.BallFileError,
+                       match=r"sample arrays must be \(n_r, n_theta, n_phi\)"):
+        ballfile.to_bytes(bf)
+
+
+def test_to_bytes_rejects_coefficients_off_the_header():
+    bf = ballfile.BallFile(kind=ballfile.KIND_COEFFS, L=3, P=2, tau=1.0,
+                           complex_payload=True, coeffs=np.zeros((2, 8), dtype=complex))
+    with pytest.raises(ballfile.BallFileError,
+                       match="coefficient array shape does not match header"):
+        ballfile.to_bytes(bf)
+
+
+def test_unpack_samples_rejects_a_file_of_another_kind():
+    coeffs = flag.random_coeffs(3, 2, seed=0)
+    bf = ballfile.from_bytes(ballfile.to_bytes(ballfile.pack_coeffs(coeffs)))
+    with pytest.raises(ballfile.BallFileError, match="not a samples file"):
+        ballfile.unpack_samples(bf)
+
+
+def test_unpack_wavelets_rejects_a_file_of_another_kind():
+    coeffs = flag.random_coeffs(3, 2, seed=0)
+    bf = ballfile.from_bytes(ballfile.to_bytes(ballfile.pack_coeffs(coeffs)))
+    with pytest.raises(ballfile.BallFileError, match="not a wavelet-set file"):
+        ballfile.unpack_wavelets(bf)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ballwav import ballfile, cli, flag
+from ballwav import ballfile, cli, flag, flaglet, tiling
 
 
 def run(capsys, *argv):
@@ -67,6 +67,19 @@ def test_roundtrip_nan_error_exceeds_tolerance(capsys, monkeypatch):
     rc, _, err = run(capsys, "roundtrip", "--L", "4", "--P", "4")
     assert rc == 1
     assert "tolerance exceeded" in err
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 25.1 GiB", ""])
+def test_memory_error_is_usage_exit(capsys, monkeypatch, message):
+    # the builder raises at once, so the test allocates nothing
+    def build(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(flag, "build_ball_scheme", build)
+    rc, out, err = run(capsys, "roundtrip", "--transform", "flag", "--L", "4", "--P", "4")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+    assert (message or "an allocation failed") in err
 
 
 def test_roundtrip_bad_band_limit(capsys):
@@ -234,6 +247,18 @@ def test_denoise_rejects_corrupt_input(tmp_path, capsys):
                      "--output", str(tmp_path / "o.flb"))
     assert rc == 3
     assert "format error" in err
+
+
+def test_denoise_rejects_a_wavelet_set_file(tmp_path, capsys):
+    scheme = flag.build_ball_scheme(4, 4)
+    kern = tiling.build_tiling(tiling.make_tiling_params(2.0, 2.0, 4, 4))
+    w = flaglet.analysis_from_coeffs(scheme, flag.random_coeffs(4, 4, seed=0).values, kern)
+    src = tmp_path / "w.flb"
+    ballfile.write_ballfile(src, ballfile.pack_wavelets(w, scheme.tau))
+    out = tmp_path / "o.flb"
+    rc, _, err = run(capsys, "denoise", "--input", str(src), "--output", str(out))
+    assert rc == 3 and not out.exists()
+    assert err == "format error: denoise needs a samples or coefficient file\n"
 
 
 def test_denoise_rejects_a_grid_off_the_header(tmp_path, capsys):

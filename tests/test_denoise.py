@@ -411,3 +411,15 @@ def test_hard_threshold_rejects_profile_off_the_part_grid():
     w.wavelets[(1, 1)] = np.zeros(scheme.grid_shape, dtype=complex)
     with pytest.raises(ValueError, match="profile length"):
         denoise.hard_threshold(w, plan)
+
+
+def test_hard_threshold_rejects_a_plan_for_other_scales():
+    L = P = 8
+    kern = _kernels(L, P)
+    scheme = flag.build_ball_scheme(L, P)
+    w = flaglet.analysis_from_coeffs(scheme, flag.random_coeffs(L, P, seed=2).values,
+                                     kern, multires=True)
+    plan = denoise.predict_sigma(kern, denoise.NoiseModel(1.0, L, P, 0), scheme)
+    short = denoise.ThresholdPlan(profiles=dict(list(plan.profiles.items())[1:]))
+    with pytest.raises(ValueError, match="plan scales do not match coefficient set"):
+        denoise.hard_threshold(w, short)

@@ -240,6 +240,17 @@ def test_energy_quadrature_on_known_signal():
     assert flag.ball_energy_quadrature(sch, sig) == pytest.approx(1.0, rel=1e-12)
 
 
+# tau**3 * w_i overflows in some radial weights above tau of about 1e100;
+# 5e102 is near the largest tau a scheme accepts (tau**3 finite)
+@pytest.mark.parametrize("tau", [1e-102, 1.0, 1e102, 5e102])
+def test_energy_quadrature_at_extreme_tau(tau):
+    sch = flag.build_ball_scheme(6, 6, tau)
+    f = flag.random_coeffs(6, 6, seed=1).values
+    with np.errstate(all="raise"):
+        quad = flag.ball_energy_quadrature(sch, flag.flag_synthesis(sch, f))
+    assert quad == pytest.approx(float(np.sum(np.abs(f) ** 2)), rel=1e-13)
+
+
 # (L, P) over {1, 2, 5, 16, 33}, at full and at reduced band-limits (Lc, Pc)
 REAL_BANDS = [(1, 1, 1, 1), (2, 2, 2, 2), (2, 5, 1, 5), (5, 2, 5, 1),
               (5, 5, 2, 2), (16, 16, 16, 16), (16, 33, 7, 33), (33, 16, 33, 5),

@@ -300,3 +300,18 @@ def test_synthesis_accumulates_in_one_reused_grid():
     peak, _ = _peak_in_real_parts(
         scheme, lambda: flaglet.synthesis_to_coeffs(w, kernels, scheme))
     assert peak <= 5
+
+
+def test_analysis_from_coeffs_rejects_kernels_of_other_bandlimits():
+    scheme, _ = _setup(L=8, P=8)
+    _, kernels = _setup(L=8, P=6)
+    f = flag.random_coeffs(8, 8, seed=1).values
+    with pytest.raises(ValueError, match="kernel band-limits do not match scheme"):
+        flaglet.analysis_from_coeffs(scheme, f, kernels)
+
+
+def test_analysis_from_coeffs_rejects_coefficients_of_other_bandlimits():
+    scheme, kernels = _setup(L=8, P=8)
+    f = flag.random_coeffs(6, 8, seed=1).values
+    with pytest.raises(ValueError, match="coefficient band-limits do not match scheme"):
+        flaglet.analysis_from_coeffs(scheme, f, kernels)

@@ -227,3 +227,9 @@ def test_input_validation():
         laguerre.radial_synthesis(sch, 3.0, [1.0])
     with pytest.raises(ValueError):
         laguerre.radial_translate(sch, 3.0, 1.0)
+
+
+def test_radial_synthesis_rejects_more_than_P_coefficients():
+    sch = laguerre.build_radial_scheme(4)
+    with pytest.raises(ValueError, match="coefficient band-limit exceeds scheme"):
+        laguerre.radial_synthesis(sch, np.zeros(5), [1.0])

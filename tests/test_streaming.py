@@ -122,6 +122,56 @@ def test_table_blocks_match_one_table(monkeypatch, fresh_schemes, L):
             assert _same_bytes(got, want), name
 
 
+def _check_cells(ang):
+    """Every band-limit Lc <= ang.L: the cells of the table blocks cover each
+    packed index below Lc*Lc once, inside their block's einsum output, at
+    the row and degree of its (l, m), with sign (-1)^m where m < 0."""
+    for Lc in range(1, ang.L + 1):
+        ell, m = sht._lm_arrays(Lc)
+        seen = np.zeros(Lc * Lc, dtype=int)
+        for m0, m1, plm in sht._table_blocks(ang, Lc):
+            lo = max(m0, 1)  # order 0 has no m < 0 twin
+            (i_p, r_p, l_p), (i_n, r_n, l_n, sign) = sht._block_cells(Lc, m0, m1)
+            for i, r, l, rows in ((i_p, r_p, l_p, m1 - m0), (i_n, r_n, l_n, m1 - lo)):
+                assert np.all((0 <= r) & (r < rows)), (Lc, m0, m1)
+                assert np.all((0 <= l) & (l < plm.shape[1])), (Lc, m0, m1)
+                np.testing.assert_array_equal(ell[i], l + m0)
+                np.add.at(seen, i, 1)
+            np.testing.assert_array_equal(m[i_p], r_p + m0)
+            np.testing.assert_array_equal(m[i_n], -(r_n + lo))
+            assert _same_bytes(sign, (-1.0) ** m[i_n])
+        assert np.all(seen == 1), Lc
+
+
+# the second budget takes three orders of the first block, as in
+# test_table_blocks_match_one_table
+@pytest.mark.parametrize("orders", [None, 3])
+def test_cells_cover_each_packed_index_once(monkeypatch, fresh_schemes, orders):
+    for L in range(1, 34):
+        if orders is not None:
+            monkeypatch.setattr(sht, "_BLOCK_BYTES", orders * 8 * L * L)
+            fresh_schemes()
+        ang = sht.build_angular_scheme(L)
+        if orders is not None and L > orders:
+            assert len(ang._plm_blocks) > 1
+        _check_cells(ang)
+
+
+@pytest.mark.parametrize("L", range(1, 34))
+def test_mirror_is_an_involution(L):
+    i_z, i_n, sign, i_m = sht._mirror(L)
+    ell, m = sht._lm_arrays(L)
+    np.testing.assert_array_equal(i_z, np.flatnonzero(m == 0))
+    np.testing.assert_array_equal(i_n, np.flatnonzero(m < 0))
+    assert _same_bytes(sign, (-1.0) ** m[i_n])
+    # (l, m) -> (l, -m) over every packed index, m = 0 fixed
+    mirror = np.arange(L * L)
+    mirror[i_n], mirror[i_m] = i_m, i_n
+    np.testing.assert_array_equal(mirror[mirror], np.arange(L * L))
+    np.testing.assert_array_equal(ell[mirror], ell)
+    np.testing.assert_array_equal(m[mirror], -m)
+
+
 @pytest.mark.parametrize("direction", ["analysis", "synthesis"])
 def test_peak_memory_follows_the_budget(monkeypatch, direction):
     L = P = 32
