@@ -185,11 +185,11 @@ def pack_samples(signal):
                     samples=vals)
 
 
-def _check_grid(bf, arr, what):
-    """Tie a full-grid block to the header band-limits, before a scheme of
-    those band-limits is built: its dims must be (P, L, 2L-1)."""
-    if arr.shape != (bf.P, bf.L, 2 * bf.L - 1):
-        raise BallFileError("%s grid does not match header band-limits" % what)
+def _check_grid(arr, L, P, what):
+    """Tie a sample block to band-limits (L, P) without building a scheme of
+    them: its dims must be (P, L, 2L-1)."""
+    if arr.shape != (P, L, 2 * L - 1):
+        raise BallFileError("%s grid mismatch: %r at L=%d, P=%d" % (what, arr.shape, L, P))
 
 
 def unpack_samples(bf):
@@ -197,7 +197,7 @@ def unpack_samples(bf):
 
     if bf.kind != KIND_SAMPLES:
         raise BallFileError("not a samples file")
-    _check_grid(bf, bf.samples, "sample")
+    _check_grid(bf.samples, bf.L, bf.P, "sample")
     return flag.BallSignal(scheme=flag.build_ball_scheme(bf.L, bf.P, bf.tau),
                            values=bf.samples)
 
@@ -233,11 +233,11 @@ def pack_wavelets(ws, tau):
 
 
 def unpack_wavelets(bf):
-    from . import flag, flaglet, tiling
+    from . import flaglet, tiling
 
     if bf.kind != KIND_WAVELETS:
         raise BallFileError("not a wavelet-set file")
-    _check_grid(bf, bf.scaling, "scaling")
+    _check_grid(bf.scaling, bf.L, bf.P, "scaling")
     try:
         params = tiling.make_tiling_params(bf.lam, bf.nu, bf.L, bf.P,
                                            J0=bf.J0, J0p=bf.J0p)
@@ -245,11 +245,9 @@ def unpack_wavelets(bf):
         raise BallFileError("invalid tiling header: %s" % exc)
     if sorted(bf.wavelets) != params.scales:
         raise BallFileError("scale list does not match tiling header")
-    full = flag.build_ball_scheme(bf.L, bf.P, bf.tau)
-    for (j, jp), arr in bf.wavelets.items():
-        sub = flaglet.scale_scheme(full, params, j, jp, bf.multires)
-        if arr.shape != sub.grid_shape:
-            raise BallFileError("scale (%d,%d) grid mismatch" % (j, jp))
+    for key, arr in bf.wavelets.items():
+        _check_grid(arr, *flaglet.scale_bandlimits(params, *key, bf.multires),
+                    "scale (%d,%d)" % key)
     ws = flaglet.WaveletCoeffSet(params=params, scaling=bf.scaling,
                                  wavelets=dict(bf.wavelets), multires=bf.multires)
     return ws, bf.tau

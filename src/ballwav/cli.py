@@ -3,6 +3,11 @@
 Heavy imports are deferred into the command bodies so that --threads can pin
 the BLAS/OpenMP pools before numpy first loads. Exit codes: 0 ok, 1 tolerance
 exceeded, 2 usage or a request too large for memory, 3 file-format error.
+
+denoise checks its input file, the file's tau, the tiling options and every
+noise option at every --sigma before it writes anything. At --sigma 0 there
+is no noise to remove: it writes the input back byte for byte and runs no
+transform, so a grid that is not band-limited comes back as it was.
 """
 
 from __future__ import annotations
@@ -169,65 +174,68 @@ def cmd_bench(args):
     return EXIT_OK
 
 
-def _load_clean_coeffs(path):
+def _clean_coeffs(bf, scheme):
+    """FlagCoeffs of a samples or coefficient file: a samples file's analysed
+    grid, real for a float payload; a coefficient file's values, real when
+    sht.check_real accepts them, as the container has no real flag for them."""
     from . import ballfile, flag, sht
 
-    bf = ballfile.read_ballfile(path)
     if bf.kind == ballfile.KIND_SAMPLES:
-        signal = ballfile.unpack_samples(bf)
-        scheme = signal.scheme
-        coeffs = flag.FlagCoeffs(L=scheme.L, P=scheme.P,
-                                 values=flag.flag_analysis(scheme, signal.values),
-                                 real=not bf.complex_payload)
-        return coeffs, scheme, bf.kind
-    if bf.kind == ballfile.KIND_COEFFS:
-        coeffs, tau = ballfile.unpack_coeffs(bf)
-        scheme = flag.build_ball_scheme(bf.L, bf.P, tau)
-        # the container has no real flag for coefficients: read it off them
-        try:
-            sht.check_real(coeffs.values)
-        except ArithmeticError:
-            return coeffs, scheme, bf.kind
-        return replace(coeffs, real=True), scheme, bf.kind
-    raise ballfile.BallFileError("denoise needs a samples or coefficient file")
+        return flag.FlagCoeffs(bf.L, bf.P, flag.flag_analysis(scheme, bf.samples),
+                               real=not bf.complex_payload)
+    try:
+        sht.check_real(bf.coeffs)
+    except ArithmeticError:
+        return flag.FlagCoeffs(bf.L, bf.P, bf.coeffs)
+    return flag.FlagCoeffs(bf.L, bf.P, bf.coeffs, real=True)
 
 
 def cmd_denoise(args):
     import numpy as np
 
-    from . import ballfile, denoise, flag
+    from . import ballfile, denoise, flag, laguerre
 
-    clean, scheme, kind = _load_clean_coeffs(args.input)
-    kernels = _tiling_kernels(args, scheme.L, scheme.P)
-    # noise near the top of double range can overflow inside the transforms:
-    # the payload is checked instead, before anything is written
-    with np.errstate(over="ignore", invalid="ignore"):
-        if args.sigma == 0.0:
-            # no noise to remove; pass the input through untouched
-            den, snr_in, snr_out = clean, float("inf"), float("inf")
-        else:
-            model = denoise.NoiseModel(sigma=args.sigma, L=scheme.L, P=scheme.P,
-                                       seed=args.seed)
+    bf = ballfile.read_ballfile(args.input)
+    samples = bf.kind == ballfile.KIND_SAMPLES
+    if samples:
+        ballfile._check_grid(bf.samples, bf.L, bf.P, "sample")
+    elif bf.kind != ballfile.KIND_COEFFS:
+        raise ballfile.BallFileError("denoise needs a samples or coefficient file")
+    laguerre.check_tau(bf.tau)
+    kernels = _tiling_kernels(args, bf.L, bf.P)
+    # every option is checked at every sigma, before anything is written
+    model = denoise.NoiseModel(sigma=args.sigma, L=bf.L, P=bf.P, seed=args.seed)
+    denoise._check_multiplier(args.multiplier)
+    if args.snr_in is not None and np.isnan(args.snr_in):
+        raise ValueError("--snr-in must not be NaN")
+    if not np.all(np.isfinite(bf.samples if samples else bf.coeffs)):
+        raise ValueError("the input payload holds a NaN or an infinity")
+    if args.sigma == 0.0:
+        # no noise to remove: the input goes back untouched, untransformed
+        out, snr_in, snr_out = bf, float("inf"), float("inf")
+    else:
+        scheme = flag.build_ball_scheme(bf.L, bf.P, bf.tau)
+        clean = _clean_coeffs(bf, scheme)
+        # noise near the top of double range can overflow inside the
+        # transforms: the denoised values are checked instead
+        with np.errstate(over="ignore", invalid="ignore"):
             noise = denoise.generate_noise(model)
-            sigma_eff = args.sigma
             if args.snr_in is not None:
                 noise, alpha = denoise.scale_noise_to_snr(clean, noise, args.snr_in)
-                sigma_eff = args.sigma * alpha
-            noisy = flag.FlagCoeffs(L=scheme.L, P=scheme.P,
-                                    values=clean.values + noise.values,
-                                    real=clean.real and noise.real)
-            model_eff = denoise.NoiseModel(sigma=sigma_eff, L=scheme.L, P=scheme.P,
-                                           seed=args.seed)
+                model = replace(model, sigma=args.sigma * alpha)
+            # the noise is real, so noisy is real when clean is
+            noisy = replace(clean, values=clean.values + noise.values)
             den, snr_in, snr_out = denoise.denoise_pipeline(
-                scheme, kernels, clean, noisy, model_eff,
+                scheme, kernels, clean, noisy, model,
                 multires=args.multires, multiplier=args.multiplier)
-        if kind == ballfile.KIND_SAMPLES:
-            grid = flag.flag_synthesis(scheme, den.values, real=den.real)
-            out = ballfile.pack_samples(flag.BallSignal(scheme=scheme, values=grid))
-        else:
-            out = ballfile.pack_coeffs(den, scheme.tau)
-    if not np.all(np.isfinite(grid if kind == ballfile.KIND_SAMPLES else den.values)):
-        raise ValueError("denoised values are not finite (sigma %r)" % args.sigma)
+            if samples:
+                grid = flag.flag_synthesis(scheme, den.values, real=den.real)
+                out = ballfile.pack_samples(flag.BallSignal(scheme=scheme, values=grid))
+            else:
+                out = ballfile.pack_coeffs(den, scheme.tau)
+        if samples and not np.all(np.isfinite(grid)):
+            raise ValueError("denoised samples leave double range (sigma %r)"
+                             % args.sigma)
     ballfile.write_ballfile(args.output, out)
     print("snr_in_db,snr_out_db")
     # %.4f spells the infinities inf and -inf

@@ -196,9 +196,9 @@ def make_sparse_signal(scheme, kernels, n_atoms=6, seed=0):
 
 def scale_noise_to_snr(signal, noise, target_db):
     """Rescale a noise realization so signal + noise sits at target_db; the
-    scale is a ratio of the norms snr takes, so any finite noise scale works."""
-    if np.isnan(target_db):
-        raise ValueError("target SNR must not be NaN")
+    scale is a ratio of the norms snr takes, so any finite noise scale works;
+    a NaN target gives a NaN scale, which raises ValueError like any scale
+    that is not finite and positive."""
     log_n = _log_norm(noise.values)
     if log_n == -math.inf:
         raise ValueError("noise realization is identically zero")

@@ -210,7 +210,7 @@ def ball_convolve_axisym(f, h):
         raise ValueError("band-limits of f and h do not match")
     L = sht.packed_bandlimit(fv)
     ell, m = sht._lm_arrays(L)
-    if np.any(np.abs(hv[..., m != 0]) > 0):
+    if np.any(hv[..., m != 0] != 0):  # a NaN is not zero either
         raise ValueError("kernel is not axisymmetric: nonzero coefficients at m != 0")
     h_ell = hv[..., sht.lm_index(ell, 0)]
     return sqrt4pi_factor(L) * fv * np.conj(h_ell)
@@ -353,8 +353,8 @@ def jlp(bridge, ell, p, k, return_flag=False):
     """
     if not (0 <= ell < bridge.L and 0 <= p < bridge.P):
         raise ValueError("(ell, p) out of bridge range")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    if not 0 <= k < np.inf:
+        raise ValueError("k must be finite and nonnegative, got %r" % k)
     values, flagged = _overlaps(bridge, ell, k, p + 1)
     return (values[p], bool(flagged[p])) if return_flag else values[p]
 

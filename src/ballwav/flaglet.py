@@ -19,7 +19,7 @@ scale plus four small ones for the scaling part, rather than two per part.
 
 The two modes differ only in sampling. In multiresolution mode a scale is
 sampled on its own (Lj, Pjp) grid, which is lossless, and at full resolution
-on the full grid; scale_scheme alone makes that choice. The scaling part
+on the full grid; scale_bandlimits alone makes that choice. The scaling part
 always stays at full resolution. Every part is a plain array. _walk is the
 one walk over the parts, which analysis, synthesis and the denoiser share,
 and _axes its two factors, which the noise plan and the sparse atoms read.
@@ -55,13 +55,18 @@ import numpy as np
 from . import flag, laguerre, sht, tiling
 
 
+def scale_bandlimits(params, j, jp, multires):
+    """Band-limits (L, P) of the grid scale (j, jp) is sampled on: the
+    kernel's own when multires is set, the full ones otherwise."""
+    return tiling.kernel_bandlimits(params, j, jp) if multires else (params.L, params.P)
+
+
 def scale_scheme(scheme, params, j, jp, multires):
-    """Scheme that scale (j, jp) is sampled on: its reduced one when multires
-    is set, the full one otherwise."""
-    if not multires:
+    """Scheme that scale (j, jp) is sampled on (scale_bandlimits)."""
+    L, P = scale_bandlimits(params, j, jp, multires)
+    if (L, P) == (scheme.L, scheme.P):
         return scheme
-    Lj, Pjp = tiling.kernel_bandlimits(params, j, jp)
-    return flag.build_ball_scheme(Lj, Pjp, scheme.tau)
+    return flag.build_ball_scheme(L, P, scheme.tau)
 
 
 def _packed_kernel(kern2d, L_red, P_red):
@@ -73,9 +78,9 @@ def _packed_kernel(kern2d, L_red, P_red):
 class WaveletCoeffSet:
     """Scaling samples on the full grid plus one sample array per scale.
 
-    wavelets maps (j, jp) to an array on the grid of
-    scale_scheme(scheme, params, j, jp, multires): the reduced one when
-    multires is set, the full one otherwise.
+    wavelets maps (j, jp) to an array on the grid of band-limits
+    scale_bandlimits(params, j, jp, multires): the reduced one when multires
+    is set, the full one otherwise.
     """
 
     params: tiling.TilingParams

@@ -45,6 +45,9 @@ def laguerre_poly(p, x):
 
 
 _LN2 = float(np.log(2.0))
+# every Khat_p underflows to 0 long before x reaches this; above it the int64
+# ledger of -x/(2 ln 2) would overflow
+_X_MAX = 2.0**62
 
 
 def _khat_scaled(P, x):
@@ -54,8 +57,9 @@ def _khat_scaled(P, x):
     exp(-x/2), which underflows double precision for x > ~1416 even though
     Khat_P itself is representable there, so the exponent rides in an integer
     ledger and the mantissas are renormalized whenever they leave 2**(+-256).
+    x is clamped at _X_MAX, so larger x, infinity included, give 0.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = np.minimum(np.atleast_1d(np.asarray(x, dtype=float)), _X_MAX)
     n = x.size
     mant = np.empty((P, n))
     ex2 = np.empty((P, n), dtype=np.int64)
@@ -161,6 +165,20 @@ class RadialScheme:
         return self.tau**3 * np.exp(self.log_weights)
 
 
+def check_tau(tau):
+    """Raise ValueError unless tau is a radial scale a scheme can take. The
+    basis scales by tau**-1.5 and the quadrature weights by tau**3, so tau
+    must be positive and finite, and tau**3 and tau**-3 finite and nonzero,
+    which keeps tau**1.5 and tau**-1.5 so too."""
+    if not (tau > 0 and np.isfinite(tau)):
+        raise ValueError("tau must be positive and finite")
+    with np.errstate(over="ignore", under="ignore"):
+        cubes = np.float64(tau) ** 3, np.float64(tau) ** -3
+    if not all(np.isfinite(c) and c > 0 for c in cubes):
+        raise ValueError("tau**3 and tau**-3 must be finite and nonzero, "
+                         "got tau=%r" % tau)
+
+
 @lru_cache(maxsize=64)
 def build_radial_scheme(P, tau=1.0):
     """Construct the P-node radial scheme with scale factor tau.
@@ -168,15 +186,7 @@ def build_radial_scheme(P, tau=1.0):
     Cached: every caller of one (P, tau) shares the scheme and its tables."""
     if P < 1:
         raise ValueError("P must be >= 1")
-    if not (tau > 0 and np.isfinite(tau)):
-        raise ValueError("tau must be positive and finite")
-    # the basis scales by tau**-1.5 and the quadrature weights by tau**3;
-    # finite nonzero tau**3 and tau**-3 keep tau**1.5 and tau**-1.5 so too
-    with np.errstate(over="ignore", under="ignore"):
-        cubes = np.float64(tau) ** 3, np.float64(tau) ** -3
-    if not all(np.isfinite(c) and c > 0 for c in cubes):
-        raise ValueError("tau**3 and tau**-3 must be finite and nonzero, "
-                         "got tau=%r" % tau)
+    check_tau(tau)
     up, down = np.float64(tau) ** 1.5, np.float64(tau) ** -1.5
     x = _nodes_unscaled(P)
     mant, ex2 = _khat_scaled(P + 2, x)
@@ -208,11 +218,13 @@ def basis_k(scheme, p, r):
 
 
 def synthesis_matrix(scheme, radii):
-    """Matrix S[k][p] = K_p(radii[k]) for all p < P."""
+    """Matrix S[k][p] = K_p(radii[k]) for all p < P; 0 for infinite radii."""
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
-    if np.any(radii < 0):
-        raise ValueError("radius must be nonnegative")
-    return (scheme.tau**-1.5 * _khat_table(scheme.P, radii / scheme.tau)).T
+    if not np.all(radii >= 0):
+        raise ValueError("radius must be nonnegative, not NaN")
+    with np.errstate(over="ignore"):  # a radius past double range is clamped
+        x = radii / scheme.tau
+    return (scheme.tau**-1.5 * _khat_table(scheme.P, x)).T
 
 
 def _last_axis(values, what):
@@ -241,7 +253,9 @@ def radial_synthesis(scheme, coeffs, radii):
 
 
 def radial_translate(scheme, coeffs, r):
-    """Translation by r in coefficient space: out_p = f_p * K_p(r)."""
+    """Translation by a scalar r in coefficient space: out_p = f_p * K_p(r)."""
+    if np.ndim(r) != 0:
+        raise ValueError("r must be a scalar")
     vals = _last_axis(coeffs, "coefficients")
     if vals.shape[-1] > scheme.P:
         raise ValueError("coefficient band-limit exceeds scheme")

@@ -54,9 +54,9 @@ def k_lambda(lam, t):
     fixed-order fast path used by build_tiling is checked against this in
     the tests.
     """
-    if lam <= 1.0:
-        raise ValueError("dilation must exceed 1")
-    if t < 0:
+    if not 1.0 < lam < math.inf:  # NaN included
+        raise ValueError("dilation must be finite and exceed 1")
+    if not t >= 0:
         raise ValueError("t must be nonnegative")
     if t <= 1.0 / lam:
         return 1.0

@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ballwav import ballfile, denoise, flag, flaglet, tiling
+from ballwav import ballfile, denoise, flag, flaglet, sht, tiling
 
 
 def _wavelet_set(multires, real=False, tau=1.0):
@@ -394,6 +395,30 @@ def test_unpack_wavelets_checks_the_grid_before_building_a_scheme():
         scaling=tiny, wavelets={s: tiny for s in params.scales}))
     with pytest.raises(ballfile.BallFileError, match="scaling grid"):
         ballfile.unpack_wavelets(ballfile.from_bytes(data))
+
+
+@pytest.mark.parametrize("multires", [False, True])
+def test_unpack_wavelets_checks_every_part_without_a_scheme(monkeypatch, multires):
+    # each part's grid follows from its band-limits alone; no table is built
+    _, _, w = _wavelet_set(multires)
+    bf = ballfile.from_bytes(ballfile.to_bytes(ballfile.pack_wavelets(w, 1.0)))
+
+    def build(*args):
+        raise AssertionError("a scheme was built")
+
+    monkeypatch.setattr(flag, "build_ball_scheme", build)
+    monkeypatch.setattr(sht, "build_angular_scheme", build)
+    ws, _ = ballfile.unpack_wavelets(bf)
+    assert ws.wavelets.keys() == w.wavelets.keys()
+    for key, part in w.wavelets.items():
+        for axis in range(3):
+            shape = list(part.shape)
+            shape[axis] += 1
+            bad = ballfile.from_bytes(ballfile.to_bytes(ballfile.pack_wavelets(
+                dataclasses.replace(w, wavelets={**w.wavelets, key: np.zeros(shape)}),
+                1.0)))
+            with pytest.raises(ballfile.BallFileError, match="grid mismatch"):
+                ballfile.unpack_wavelets(bad)
 
 
 def test_to_bytes_rejects_a_sample_block_that_is_not_3d():

@@ -45,6 +45,14 @@ def test_jlp_zero_k_values():
             assert flag.jlp(bridge, ell, p, 0.0) == 0.0
 
 
+@pytest.mark.parametrize("k", [math.nan, math.inf])
+def test_jlp_rejects_a_non_finite_k(k):
+    # NaN ran a 200,000-term series per moment and returned a flagged NaN;
+    # inf did too, with a RuntimeWarning
+    with pytest.raises(ValueError, match="finite"):
+        flag.jlp(flag.build_bessel_bridge(8, 8), 3, 5, k)
+
+
 def test_jlp_against_direct_quadrature():
     bridge = flag.build_bessel_bridge(4, 4)
     sch = laguerre.build_radial_scheme(4)

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ballwav import ballfile, cli, flag, flaglet, tiling
@@ -210,6 +210,104 @@ def test_denoise_zero_sigma_passthrough(tmp_path, capsys):
     assert np.array_equal(orig.values, den.values)
 
 
+def _denoise_inputs(directory):
+    """Paths of the files denoise takes: real and complex coefficients, the
+    float and complex grids they sample, and a float grid that is not
+    band-limited, at L=6, P=5."""
+    L, P = 6, 5
+    scheme = flag.build_ball_scheme(L, P)
+    real = flag.random_coeffs(L, P, seed=1, real=True).values
+    cplx = flag.random_coeffs(L, P, seed=2).values
+    rough = np.random.default_rng(3).standard_normal(scheme.grid_shape)
+    files = {
+        "coeffs_real": ballfile.pack_coeffs(flag.FlagCoeffs(L, P, real)),
+        "coeffs_complex": ballfile.pack_coeffs(flag.FlagCoeffs(L, P, cplx)),
+        "samples_float": ballfile.pack_samples(flag.BallSignal(
+            scheme, flag.flag_synthesis(scheme, real, real=True))),
+        "samples_complex": ballfile.pack_samples(flag.BallSignal(
+            scheme, flag.flag_synthesis(scheme, cplx))),
+        # its band-limited projection is up to 2.97 off it
+        "samples_not_band_limited": ballfile.pack_samples(flag.BallSignal(scheme, rough)),
+    }
+    for name, bf in files.items():
+        ballfile.write_ballfile(directory / name, bf)
+    return {name: directory / name for name in files}
+
+
+def _spy_transforms(monkeypatch):
+    """The list that every later call of a scheme build or a flag transform
+    appends its name to."""
+    calls = []
+    for name in ("build_ball_scheme", "flag_analysis", "flag_synthesis"):
+        def spy(*args, _name=name, _fn=getattr(flag, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(flag, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["coeffs_real", "coeffs_complex", "samples_float",
+                                  "samples_complex", "samples_not_band_limited"])
+def test_denoise_zero_sigma_writes_the_input_back(tmp_path, capsys, monkeypatch, name):
+    src = _denoise_inputs(tmp_path)[name]
+    calls = _spy_transforms(monkeypatch)
+    out = tmp_path / "den.flb"
+    rc, text, _ = run(capsys, "denoise", "--input", str(src), "--output", str(out),
+                      "--sigma", "0")
+    assert rc == 0 and text.splitlines()[1] == "inf,inf"
+    assert out.read_bytes() == src.read_bytes()
+    assert calls == []
+
+
+@pytest.mark.parametrize("L, P, tau, option, code", [
+    # no scheme can take these: tau**3 or tau**-3 leaves double range
+    (4, 4, 1e200, "--seed=0", 2),
+    (4, 4, 1e-200, "--seed=0", 2),
+    # a single radial order cannot be tiled, nor can L=4 at J0=5
+    (4, 1, 1.0, "--seed=0", 2),
+    (4, 4, 1.0, "--J0=5", 2),
+    (4, 4, 1.0, "--lambda=1", 2),
+])
+def test_denoise_zero_sigma_checks_without_a_transform(tmp_path, capsys, monkeypatch,
+                                                       L, P, tau, option, code):
+    src = tmp_path / "in.flb"
+    ballfile.write_ballfile(src, ballfile.BallFile(
+        kind=ballfile.KIND_COEFFS, L=L, P=P, tau=tau, complex_payload=True,
+        coeffs=np.ones((P, L * L), dtype=complex)))
+    calls = _spy_transforms(monkeypatch)
+    out = tmp_path / "o.flb"
+    rc, text, err = run(capsys, "denoise", "--input", str(src), "--output", str(out),
+                        "--sigma=0", option)
+    assert rc == code and text == "" and err.startswith("error: ")
+    assert not out.exists() and calls == []
+
+
+@pytest.mark.parametrize("sigma", ["0", "1"])
+@pytest.mark.parametrize("kind", ["coeffs", "samples"])
+def test_denoise_names_a_non_finite_payload(tmp_path, capsys, kind, sigma):
+    # a NaN in the coefficients read as coefficients leaving double range,
+    # and an infinity in a grid ended in a traceback
+    L = P = 4
+    src = tmp_path / "in.flb"
+    if kind == "coeffs":
+        vals = np.ones((P, L * L), dtype=complex)
+        vals[1, 3] = np.nan
+        bf = ballfile.BallFile(kind=ballfile.KIND_COEFFS, L=L, P=P, tau=1.0,
+                               complex_payload=True, coeffs=vals)
+    else:
+        vals = np.zeros((P, L, 2 * L - 1))
+        vals[0, 0, 0] = np.inf
+        bf = ballfile.BallFile(kind=ballfile.KIND_SAMPLES, L=L, P=P, tau=1.0,
+                               complex_payload=False, samples=vals)
+    ballfile.write_ballfile(src, bf)
+    out = tmp_path / "o.flb"
+    rc, text, err = run(capsys, "denoise", "--input", str(src), "--output", str(out),
+                        "--sigma", sigma)
+    assert rc == 2 and text == "" and not out.exists()
+    assert err == "error: the input payload holds a NaN or an infinity\n"
+
+
 def test_denoise_samples_input_round_trips_kind(tmp_path, capsys):
     scheme = flag.build_ball_scheme(16, 16)
     f = flag.random_coeffs(16, 16, seed=0, real=True).values
@@ -237,6 +335,26 @@ def test_denoise_keeps_a_real_samples_file_real(tmp_path, capsys):
     assert rc == 0
     bf = ballfile.read_ballfile(out)
     assert bf.kind == ballfile.KIND_SAMPLES and not bf.complex_payload
+    assert out.stat().st_size == src.stat().st_size
+
+
+def test_denoise_keeps_a_complex_coeff_file_complex(tmp_path, capsys, monkeypatch):
+    # coefficients that are not conjugate-symmetric take the complex path
+    src = _denoise_inputs(tmp_path)["coeffs_complex"]
+    seen = []
+    sample = flag.flag_synthesis
+
+    def sample_spy(scheme, coeffs, real=False, **kwargs):
+        seen.append(real)
+        return sample(scheme, coeffs, real, **kwargs)
+
+    monkeypatch.setattr(flag, "flag_synthesis", sample_spy)
+    out = tmp_path / "den.flb"
+    rc, _, _ = run(capsys, "denoise", "--input", str(src), "--output", str(out),
+                   "--snr-in", "5")
+    assert rc == 0 and seen and not any(seen)
+    bf = ballfile.read_ballfile(out)
+    assert bf.kind == ballfile.KIND_COEFFS and bf.complex_payload
     assert out.stat().st_size == src.stat().st_size
 
 
@@ -477,16 +595,17 @@ def _only_finite_values(path):
     return all(np.all(np.isfinite(a)) for a in parts if a is not None)
 
 
-def _run_edge(command, option, value):
+def _run_edge(command, *pairs):
     """(exit code, stdout, whether the output file is missing or holds only
-    finite values) of a small run of command with option=value appended, or
-    --threads=value put before it."""
+    finite values) of a small run of command with option=value appended for
+    each (option, value) pair, or --threads=value put before it."""
     with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
         argv, out = _edge_argv(command, pathlib.Path(tmp))
-        if option == "--threads":  # a top-level option; it sets os.environ
-            argv = ["%s=%s" % (option, value)] + argv
-        else:
-            argv = argv + ["%s=%s" % (option, value)]
+        for option, value in pairs:
+            if option == "--threads":  # a top-level option; it sets os.environ
+                argv = ["%s=%s" % (option, value)] + argv
+            else:
+                argv = argv + ["%s=%s" % (option, value)]
         text = io.StringIO()
         with contextlib.redirect_stdout(text), contextlib.redirect_stderr(io.StringIO()):
             try:
@@ -501,13 +620,52 @@ def _run_edge(command, option, value):
 @given(case=st.sampled_from(_EDGE_CASES), value=st.sampled_from(_EDGE_FLOATS))
 @settings(max_examples=300, derandomize=True, deadline=None)
 def test_exit_codes_on_edge_floats(case, value):
-    rc, text, written, finite = _run_edge(*case, value)
+    command, option = case
+    rc, text, written, finite = _run_edge(command, (option, value))
     assert rc in (0, 1, 2, 3)
     if rc != 0:
         assert not written
     else:
         assert "nan" not in text.lower()
         assert finite
+
+
+# Two or three float options of one subcommand at once, from the same edge
+# values; --sigma is 0 in about half the draws that set it, since the
+# passthrough it selects must check the other options too.
+_NONNEGATIVE_OPTIONS = {"--sigma", "--multiplier", "--tol", "--tau"}
+
+
+@st.composite
+def _option_sets(draw):
+    command = draw(st.sampled_from(sorted(_FLOAT_OPTIONS)))
+    names = draw(st.lists(st.sampled_from(_FLOAT_OPTIONS[command]), min_size=2,
+                          max_size=3, unique=True))
+    values = {name: st.sampled_from(_EDGE_FLOATS) for name in names}
+    if "--sigma" in values:
+        values["--sigma"] = st.one_of(st.just("0"), values["--sigma"])
+    return command, [(name, draw(values[name])) for name in names]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(case=_option_sets())
+@example(case=("denoise", [("--sigma", "0"), ("--multiplier", "nan")]))
+@example(case=("denoise", [("--sigma", "0"), ("--multiplier", "-1")]))
+@example(case=("denoise", [("--sigma", "0"), ("--snr-in", "nan")]))
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_exit_codes_on_edge_float_combinations(case):
+    command, pairs = case
+    rc, text, written, finite = _run_edge(command, *pairs)
+    assert rc in (0, 1, 2, 3)
+    if rc != 0:
+        assert not written
+    else:
+        assert "nan" not in text.lower()
+        assert finite
+    # a NaN, or a negative value of an option that must be nonnegative, is a
+    # usage error whatever else is set
+    if any(v == "nan" or (o in _NONNEGATIVE_OPTIONS and float(v) < 0) for o, v in pairs):
+        assert rc == 2
 
 
 # Every integer option of every subcommand, and the top-level --threads, on
@@ -529,7 +687,8 @@ _INT_CASES = [(c, o) for c, opts in _INT_OPTIONS.items() for o in opts]
 @given(case=st.sampled_from(_INT_CASES), value=st.sampled_from(_SMALL_INTS))
 @settings(max_examples=300, derandomize=True, deadline=None)
 def test_exit_codes_on_small_integers(case, value):
-    rc, text, written, finite = _run_edge(*case, value)
+    command, option = case
+    rc, text, written, finite = _run_edge(command, (option, value))
     assert rc in (0, 2)
     if rc == 2:
         assert not written

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -323,9 +324,9 @@ def test_pipeline_is_the_threshold_of_the_coefficient_set(multires, real):
     assert snr_out == denoise.snr(clean.values, want)
 
 
-def _pipeline_peak(real):
-    """Traced peak of one full-resolution denoise_pipeline at L=P=32, in
-    parts: grids of the pipeline's dtype."""
+def _pipeline(real):
+    """One full-resolution denoise_pipeline at L=P=32 as a call, its lazy
+    caches filled, and the bytes of one part: a grid of the pipeline's dtype."""
     L = P = 32
     kern = _kernels(L, P)
     scheme = flag.build_ball_scheme(L, P)
@@ -341,8 +342,40 @@ def _pipeline_peak(real):
                                         multires=False)
 
     run()  # fill the lazy caches outside the measurement
+    return run, np.empty(scheme.grid_shape, dtype=float if real else complex).nbytes
+
+
+def _pipeline_peak(real):
+    """Traced peak of one full-resolution denoise_pipeline at L=P=32, in parts."""
+    run, part = _pipeline(real)
     peak, _ = peak_above_inputs(run)
-    return peak / np.empty(scheme.grid_shape, dtype=float if real else complex).nbytes
+    return peak / part
+
+
+def _cut_memory(monkeypatch):
+    """Over the cuts of one real full-resolution denoise_pipeline at L=P=32,
+    in parts: the most traced memory held above the inputs when a cut
+    starts, and the highest peak inside a cut above what it started with."""
+    run, part = _pipeline(real=True)
+    held, inside = [], []
+    cut = denoise._cut
+
+    def traced(w, prof, multiplier):
+        now = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = cut(w, prof, multiplier)
+        inside.append(tracemalloc.get_traced_memory()[1] - now)
+        held.append(now)
+        return out
+
+    monkeypatch.setattr(denoise, "_cut", traced)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+    finally:
+        tracemalloc.stop()
+    return (max(held) - base) / part, max(inside) / part
 
 
 @pytest.mark.parametrize("real", [True, False])
@@ -359,6 +392,22 @@ def test_real_pipeline_frees_each_array_after_its_last_read():
     # or an angular scale's grid kept past its last read, or a fresh
     # accumulation grid per angular scale, takes it above 6
     assert _pipeline_peak(real=True) <= 6
+
+
+def test_walk_holds_four_grids_at_each_cut(monkeypatch):
+    # when a part is cut, the walk holds the result, the accumulation grid,
+    # the angular scale's grid and the part: about 4.2 grids above the
+    # inputs. The scaling part kept to the end of the walk reads 5.2, under
+    # the 6 of the pipeline's whole peak, which the real inverse sets
+    held, _ = _cut_memory(monkeypatch)
+    assert held <= 4.7
+
+
+def test_cut_of_a_float_part_forms_no_abs(monkeypatch):
+    # a cut allocates its boolean masks, about 0.38 of a part; forming |w|
+    # for a float part reads 1.25
+    _, inside = _cut_memory(monkeypatch)
+    assert inside <= 0.75
 
 
 def test_pipeline_reuses_cached_schemes(monkeypatch):

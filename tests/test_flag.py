@@ -202,6 +202,15 @@ def test_convolve_rejects_non_axisymmetric_kernel():
         flag.ball_convolve_axisym(f, flag.random_coeffs(4, 2, seed=2).values)
 
 
+def test_convolve_rejects_a_nan_off_the_axis():
+    # abs(nan) > 0 is false, so a NaN at m != 0 passed as axisymmetric
+    f = flag.random_coeffs(4, 3, seed=1).values
+    h = np.zeros_like(f)
+    h[:, sht.lm_index(2, -1)] = np.nan
+    with pytest.raises(ValueError, match="axisymmetric"):
+        flag.ball_convolve_axisym(f, h)
+
+
 def test_convolve_matches_brute_force_inner_product():
     # (f * h)(r0, omega0) must equal the ball inner product of f against the
     # kernel rotated to omega0 and translated to r0, computed by quadrature

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -233,3 +234,35 @@ def test_radial_synthesis_rejects_more_than_P_coefficients():
     sch = laguerre.build_radial_scheme(4)
     with pytest.raises(ValueError, match="coefficient band-limit exceeds scheme"):
         laguerre.radial_synthesis(sch, np.zeros(5), [1.0])
+
+
+def test_radii_past_the_ledger_give_zero():
+    # above r/tau of about 1.28e19 the int64 exponent ledger overflowed, with
+    # a RuntimeWarning; every K_p is 0 there, and at infinity
+    sch = laguerre.build_radial_scheme(6, 0.5)
+    radii = [1e19, 1e20, 1e300, np.finfo(float).max, np.inf]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        S = laguerre.synthesis_matrix(sch, radii)
+        assert S.shape == (5, 6) and np.all(S == 0.0)
+        assert laguerre.basis_k(sch, 3, np.inf) == 0.0
+        out = laguerre.radial_translate(sch, np.ones(6), 1e300)
+    assert np.all(out == 0.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda sch: laguerre.synthesis_matrix(sch, [1.0, np.nan]),
+    lambda sch: laguerre.basis_k(sch, 2, np.nan),
+    lambda sch: laguerre.radial_synthesis(sch, np.ones(4), [np.nan]),
+    lambda sch: laguerre.radial_translate(sch, np.ones(4), np.nan),
+], ids=["synthesis_matrix", "basis_k", "radial_synthesis", "radial_translate"])
+def test_nan_radius_is_rejected(call):
+    with pytest.raises(ValueError, match="NaN"):
+        call(laguerre.build_radial_scheme(4))
+
+
+def test_radial_translate_takes_a_scalar_radius():
+    # an array radius used to be read as its first entry
+    sch = laguerre.build_radial_scheme(4)
+    with pytest.raises(ValueError, match="scalar"):
+        laguerre.radial_translate(sch, np.ones(4), np.array([0.5, 2.0]))

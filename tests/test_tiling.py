@@ -52,6 +52,15 @@ def test_cutoff_argument_errors():
         tiling.k_lambda(2.0, -0.1)
 
 
+@pytest.mark.parametrize("lam, t", [(math.nan, 0.5), (2.0, math.nan), (math.inf, 0.5)])
+def test_cutoff_rejects_nan_and_an_infinite_dilation(lam, t):
+    # a NaN fell through every comparison into the quadrature, which
+    # integrated NaN with an IntegrationWarning; an infinite dilation
+    # divided by a zero normalisation
+    with pytest.raises(ValueError):
+        tiling.k_lambda(lam, t)
+
+
 @pytest.mark.parametrize("lam", [2.0, 3.0, 1.7, 1.05, 10.0])
 def test_cutoff_interpolant_matches_quadrature(lam):
     # the fixed-order fast path against the adaptive defining integral
