@@ -7,7 +7,8 @@ exceeded, 2 usage or a request too large for memory, 3 file-format error.
 denoise checks its input file, the file's tau, the tiling options and every
 noise option at every --sigma before it writes anything. At --sigma 0 there
 is no noise to remove: it writes the input back byte for byte and runs no
-transform, so a grid that is not band-limited comes back as it was.
+transform and no tiling build, so a grid that is not band-limited comes back
+as it was.
 """
 
 from __future__ import annotations
@@ -117,12 +118,16 @@ def _set_threads(n):
         os.environ[var] = str(n)
 
 
+def _tiling_params(args, L, P):
+    from . import tiling
+
+    return tiling.make_tiling_params(args.lam, args.nu, L, P, J0=args.J0, J0p=args.J0p)
+
+
 def _tiling_kernels(args, L, P):
     from . import tiling
 
-    params = tiling.make_tiling_params(args.lam, args.nu, L, P,
-                                       J0=args.J0, J0p=args.J0p)
-    return tiling.build_tiling(params)
+    return tiling.build_tiling(_tiling_params(args, L, P))
 
 
 def _time_roundtrip(args, L, P, reps):
@@ -193,7 +198,7 @@ def _clean_coeffs(bf, scheme):
 def cmd_denoise(args):
     import numpy as np
 
-    from . import ballfile, denoise, flag, laguerre
+    from . import ballfile, denoise, flag, laguerre, tiling
 
     bf = ballfile.read_ballfile(args.input)
     samples = bf.kind == ballfile.KIND_SAMPLES
@@ -202,8 +207,10 @@ def cmd_denoise(args):
     elif bf.kind != ballfile.KIND_COEFFS:
         raise ballfile.BallFileError("denoise needs a samples or coefficient file")
     laguerre.check_tau(bf.tau)
-    kernels = _tiling_kernels(args, bf.L, bf.P)
-    # every option is checked at every sigma, before anything is written
+    # every option is checked at every sigma, before anything is written;
+    # build_tiling raises for no params make_tiling_params accepts, so the
+    # kernels are built only when there is noise to remove
+    params = _tiling_params(args, bf.L, bf.P)
     model = denoise.NoiseModel(sigma=args.sigma, L=bf.L, P=bf.P, seed=args.seed)
     denoise._check_multiplier(args.multiplier)
     if args.snr_in is not None and np.isnan(args.snr_in):
@@ -215,6 +222,7 @@ def cmd_denoise(args):
         out, snr_in, snr_out = bf, float("inf"), float("inf")
     else:
         scheme = flag.build_ball_scheme(bf.L, bf.P, bf.tau)
+        kernels = tiling.build_tiling(params)
         clean = _clean_coeffs(bf, scheme)
         # noise near the top of double range can overflow inside the
         # transforms: the denoised values are checked instead

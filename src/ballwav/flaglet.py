@@ -7,10 +7,13 @@ radial one (tiling.TilingKernels). It vanishes outside band-limits (Lj, Pjp)
 that factor too, Lj set by j alone and Pjp by jp alone. The walk uses both
 factorisations and groups the scales by angular scale j. For each j, one
 angular synthesis of ka_j f[:, :Lj^2] on j's angular grid serves every jp,
-and each part is then one radial matmul of it by node_synthesis[:, :Pjp]
-kb_jp. Synthesis mirrors it: each part's radial matmul by kb_jp
-weighted_basis[:Pjp] accumulates into one grid per j, and one sht_forward at
-Lj, times ka_j, adds that grid into the coefficients. The scaling kernel is
+and each part is then one radial matmul of it by node_synthesis[:, lo:Pjp]
+kb_jp, over only the rows lo <= p < Pjp where kb_jp is nonzero. Synthesis
+mirrors it: each part's radial matmul by kb_jp weighted_basis[lo:Pjp]
+accumulates into the rows lo..Pjp of one grid per j, and one sht_forward at
+Lj, times ka_j, adds that grid into the coefficients. At L=P=32 with
+lambda=nu=2 the six radial scales then contract 57 rows per angular scale,
+not 94. The scaling kernel is
 not separable, but it vanishes unless l < La or p < Pb
 (tiling.scaling_bandlimits), so its part takes two band-limited flag calls
 each way: one for the rows p < Pb at the full L, one for the degrees l < La
@@ -109,13 +112,15 @@ class _Angular(NamedTuple):
 
 
 class _Radial(NamedTuple):
-    """Radial scale jp of the walk: its band-limit Pjp, its cutoff kb_jp below
-    Pjp, the radial scheme of its grids, and the matrices that map coefficient
-    rows to the part's nodes (node_synthesis[:, :Pjp] kb_jp) and back
-    (kb_jp weighted_basis[:Pjp])."""
+    """Radial scale jp of the walk: its band-limit Pjp, the first row lo where
+    its cutoff kb_jp is nonzero (Pjp when none is), kb_jp below Pjp, the
+    radial scheme of its grids, and the matrices that map coefficient rows
+    lo..Pjp to the part's nodes (node_synthesis[:, lo:Pjp] kb_jp) and back
+    (kb_jp weighted_basis[lo:Pjp]): the rows below lo carry no weight."""
 
     jp: int
     P: int
+    lo: int
     kb: np.ndarray
     scheme: laguerre.RadialScheme
     synthesis: np.ndarray
@@ -139,8 +144,11 @@ def _axes(scheme, kernels, multires):
         Pjp = tiling.kernel_bandlimits(prm, prm.J0, jp)[1]
         rad = scale_scheme(scheme, prm, prm.J0, jp, multires).radial
         kb = kb[:Pjp]
-        radial.append(_Radial(jp, Pjp, kb, rad, rad.node_synthesis[:, :Pjp] * kb,
-                              kb[:, None] * rad.weighted_basis[:Pjp]))
+        nonzero = np.flatnonzero(kb)
+        lo = int(nonzero[0]) if nonzero.size else Pjp
+        radial.append(_Radial(jp, Pjp, lo, kb, rad,
+                              rad.node_synthesis[:, lo:Pjp] * kb[lo:],
+                              kb[lo:, None] * rad.weighted_basis[lo:Pjp]))
     return angular, radial
 
 
@@ -212,14 +220,14 @@ def _walk(scheme, kernels, axes, visit, f=None, real=False, block=None):
         for rad in radial:
             key = (ang.j, rad.jp)
             shape = (rad.scheme.P,) + ang.scheme.grid_shape
-            part = None if f is None else flag._radial(rad.synthesis, G[: rad.P], -3,
-                                                       empty(shape))
+            part = None if f is None else flag._radial(rad.synthesis, G[rad.lo: rad.P],
+                                                       -3, empty(shape))
             back = visit(key, part, ang, rad)
             if Y is not None:
                 if back.shape != shape:
                     raise ValueError("part %s of shape %s is not on the grid of its "
                                      "scale, %s" % (key, back.shape, shape))
-                Y[: rad.P] += flag._radial(rad.analysis, back, -3)
+                Y[rad.lo: rad.P] += flag._radial(rad.analysis, back, -3)
             del part, back
         del G
         if Y is not None:

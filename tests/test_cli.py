@@ -283,6 +283,28 @@ def test_denoise_zero_sigma_checks_without_a_transform(tmp_path, capsys, monkeyp
     assert not out.exists() and calls == []
 
 
+def test_denoise_zero_sigma_builds_no_tiling(tmp_path, capsys, monkeypatch):
+    # the tiling options are checked by make_tiling_params alone: at L=P=1024
+    # build_tiling took 2.8 s and 2.06 GB for kernels the passthrough never read
+    def build_tiling(params):
+        raise AssertionError("build_tiling ran at --sigma 0")
+
+    monkeypatch.setattr(tiling, "build_tiling", build_tiling)
+    src = _denoise_inputs(tmp_path)["coeffs_real"]
+    out = tmp_path / "den.flb"
+    rc, text, _ = run(capsys, "denoise", "--input", str(src), "--output", str(out),
+                      "--sigma", "0")
+    assert rc == 0 and text.splitlines()[1] == "inf,inf"
+    assert out.read_bytes() == src.read_bytes()
+    for option in ("--lambda=1", "--lambda=nan", "--nu=0.5", "--nu=inf", "--J0=-1",
+                   "--J0=5", "--J0p=-1", "--J0p=5"):
+        bad = tmp_path / "bad.flb"
+        rc, text, err = run(capsys, "denoise", "--input", str(src), "--output", str(bad),
+                            "--sigma=0", option)
+        assert rc == 2 and text == "" and err.startswith("error: "), option
+        assert not bad.exists()
+
+
 @pytest.mark.parametrize("sigma", ["0", "1"])
 @pytest.mark.parametrize("kind", ["coeffs", "samples"])
 def test_denoise_names_a_non_finite_payload(tmp_path, capsys, kind, sigma):

@@ -229,6 +229,60 @@ def test_full_resolution_scale_matches_padded_synthesis(L, P, lam, nu, J0, multi
         assert np.max(np.abs(part - ref)) < 1e-12
 
 
+_SUPPORT_CASES = [(8, 8, 2.0, 2.0, 0), (32, 32, 2.0, 2.0, 0), (33, 20, 1.5, 1.3, 1),
+                  (16, 16, 2.0, 2.0, 2)]
+
+
+def _untrimmed(axes):
+    """The walk's axes with every radial matrix over all rows p < Pjp, the
+    zeros of kb_jp below its support included."""
+    angular, radial = axes
+    return angular, [rad._replace(
+        lo=0, synthesis=rad.scheme.node_synthesis[:, : rad.P] * rad.kb,
+        analysis=rad.kb[:, None] * rad.scheme.weighted_basis[: rad.P]) for rad in radial]
+
+
+def _close(got, want):
+    return np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("real", [False, True])
+@pytest.mark.parametrize("multires", [False, True])
+@pytest.mark.parametrize("L,P,lam,nu,J0p", _SUPPORT_CASES)
+def test_radial_products_run_over_the_kernel_support(L, P, lam, nu, J0p, multires, real):
+    # trimming the rows where kb_jp is zero changes parts and coefficients
+    # by rounding only; at nu = 1.3 no radial order lies strictly between
+    # nu^0 and nu^2, so kb_1 is all zero, its matrices are empty and its
+    # parts must come out exactly zero
+    scheme, kernels = _setup(L=L, P=P, lam=lam, nu=nu, J0p=J0p)
+    axes = flaglet._axes(scheme, kernels, multires)
+    for rad in axes[1]:
+        assert not rad.kb[: rad.lo].any()
+        assert rad.lo == rad.P or rad.kb[rad.lo] != 0
+        assert rad.synthesis.shape[1] == rad.analysis.shape[0] == rad.P - rad.lo
+    empty = {rad.jp for rad in axes[1] if rad.lo == rad.P}
+    assert empty == ({1} if nu == 1.3 else set())
+    f = flag.random_coeffs(L, P, seed=13, real=real).values
+    w = flaglet.analysis_from_coeffs(scheme, f, kernels, multires=multires, real=real)
+    ref = {}
+
+    def keep(key, part, ang, rad):
+        ref[key] = part
+
+    flaglet._walk(scheme, kernels, _untrimmed(axes), keep, f, real)
+    assert ref.keys() == {None, *w.wavelets}
+    assert _close(w.scaling, ref.pop(None))
+    for key, part in ref.items():
+        assert _close(w.wavelets[key], part), key
+        assert key[1] not in empty or not w.wavelets[key].any()
+
+    def stored(key, part, ang, rad):
+        return w.scaling if key is None else w.wavelets[key]
+
+    want = flaglet._walk(scheme, kernels, _untrimmed(axes), stored, real=real)
+    assert _close(flaglet.synthesis_to_coeffs(w, kernels, scheme), want)
+
+
 def test_part_on_wrong_grid_raises():
     # a multires set whose part sits on the full grid, not its scale's grid
     scheme, kernels = _setup(L=8, P=8)

@@ -67,7 +67,29 @@ def test_cutoff_interpolant_matches_quadrature(lam):
     ts = np.linspace(1.0 / lam + 1e-3, 1.0 - 1e-3, 23)
     fast = tiling._k_eval(lam, ts)
     slow = np.array([tiling.k_lambda(lam, t) for t in ts])
-    assert np.max(np.abs(fast - slow)) < 1e-13
+    assert np.max(np.abs(fast - slow)) < 1e-14
+
+
+@pytest.mark.parametrize("lam", [1.05, 2.0, 10.0])
+def test_cutoff_reference_matches_mpmath(lam):
+    # the adaptive reference against its defining ratio at 30 digits: at most
+    # 6.9e-15 off over 400 interior points at lambda = 1.05, where the double
+    # integrand's own rounding sets the floor, and 6.7e-16 at 2 and 10. An
+    # absolute quad tolerance of 1e-14 on the unnormalised integrals left it
+    # 2.3e-14 off at lambda = 10 on this grid
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        lam_mp = mpmath.mpf(lam)
+
+        def s_sq(u):
+            arg = 2 * lam_mp / (lam_mp - 1) * (u - 1 / lam_mp) - 1
+            return mpmath.exp(-2 / (1 - arg * arg)) / u if abs(arg) < 1 else 0
+
+        norm = mpmath.quad(s_sq, [1 / lam_mp, 1])
+        ts = np.linspace(1.0 / lam, 1.0, 103)[1:-1]
+        want = np.array([float(mpmath.quad(s_sq, [t, 1]) / norm) for t in ts])
+    got = np.array([tiling.k_lambda(lam, t) for t in ts])
+    assert np.max(np.abs(got - want)) < 1e-14
 
 
 def test_cutoff_interpolant_monotone():
