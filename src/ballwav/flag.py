@@ -35,6 +35,7 @@ float columns of the coefficients, each of which depends only on itself.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -149,9 +150,9 @@ def flag_synthesis(scheme, coeffs, real=False, *, check=True):
     vals = np.asarray(coeffs)
     if vals.ndim < 2:
         raise ValueError("coefficients must have shape (..., Pc, Lc*Lc)")
-    Pc = vals.shape[-2]
-    if Pc > scheme.P or vals.shape[-1] > scheme.L**2:
-        raise ValueError("coefficient band-limits exceed scheme")
+    Pc, Lc = vals.shape[-2], sht._bandlimit(scheme.angular, vals)
+    if not 1 <= Pc <= scheme.P:
+        raise ValueError("radial coefficient band-limit %d not in 1..%d" % (Pc, scheme.P))
     S = scheme.radial.node_synthesis[:, :Pc]
     if real:
         if check:
@@ -162,7 +163,6 @@ def flag_synthesis(scheme, coeffs, real=False, *, check=True):
     if Pc < scheme.P:
         rows = sht.sht_inverse(scheme.angular, vals)
         return np.einsum("ip,...ptk->...itk", S, rows.view(float)).view(complex)
-    Lc = sht._bandlimit(scheme.angular, vals)
     out = np.empty(vals.shape[:-2] + scheme.grid_shape, dtype=complex)
     # a block of shells at a time, its rows at the nodes and their angular
     # scratch within the budget, straight into out; the (re, im) view is
@@ -258,8 +258,8 @@ class BesselBridge:
 
 
 def build_bessel_bridge(L, P, tau=1.0):
-    if L < 1 or P < 1:
-        raise ValueError("band-limits must be >= 1")
+    if not all(isinstance(n, numbers.Integral) and n >= 1 for n in (L, P)):
+        raise ValueError("band-limits must be integers >= 1, got %r" % ((L, P),))
     return BesselBridge(L=L, P=P, tau=float(tau), cpj=_cpj_table(P))
 
 
@@ -351,8 +351,10 @@ def jlp(bridge, ell, p, k, return_flag=False):
 
     When return_flag is true, also returns the precision flag of _overlaps.
     """
-    if not (0 <= ell < bridge.L and 0 <= p < bridge.P):
-        raise ValueError("(ell, p) out of bridge range")
+    if not (isinstance(ell, numbers.Integral) and isinstance(p, numbers.Integral)
+            and 0 <= ell < bridge.L and 0 <= p < bridge.P):
+        raise ValueError("(ell, p) must be integers in the bridge range, got %r"
+                         % ((ell, p),))
     if not 0 <= k < np.inf:
         raise ValueError("k must be finite and nonnegative, got %r" % k)
     values, flagged = _overlaps(bridge, ell, k, p + 1)
@@ -378,8 +380,8 @@ def fourier_bessel(bridge, coeffs, ks):
     if P > bridge.P or L > bridge.L:
         raise ValueError("coefficient band-limits exceed bridge tables")
     ks = np.atleast_1d(np.asarray(ks, dtype=float))
-    if np.any(ks < 0) or not np.all(np.isfinite(ks)):
-        raise ValueError("ks must be finite and nonnegative")
+    if ks.ndim != 1 or np.any(ks < 0) or not np.all(np.isfinite(ks)):
+        raise ValueError("ks must be finite and nonnegative, along one axis")
     ell_of, _ = sht._lm_arrays(L)
     jl = np.empty((L, P, ks.size))
     fl = np.empty((L, P, ks.size), dtype=bool)

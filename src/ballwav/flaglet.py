@@ -13,8 +13,10 @@ mirrors it: each part's radial matmul by kb_jp weighted_basis[lo:Pjp]
 accumulates into the rows lo..Pjp of one grid per j, and one sht_forward at
 Lj, times ka_j, adds that grid into the coefficients. At L=P=32 with
 lambda=nu=2 the six radial scales then contract 57 rows per angular scale,
-not 94. The scaling kernel is
-not separable, but it vanishes unless l < La or p < Pb
+not 94. Both angular transforms of j run over only the rows some part
+reads, from the smallest lo to the largest Pjp: kb_jp(0) = 0 at every
+dilation, so row 0 is never among them. The scaling kernel is not
+separable, but it vanishes unless l < La or p < Pb
 (tiling.scaling_bandlimits), so its part takes two band-limited flag calls
 each way: one for the rows p < Pb at the full L, one for the degrees l < La
 on all rows. A round trip then runs two spherical transforms per angular
@@ -204,34 +206,36 @@ def _walk(scheme, kernels, axes, visit, f=None, real=False, block=None):
         acc[Pb:, : La * La] = (kleft[Pb:]
                                * flag.flag_analysis(scheme, back, (La, scheme.P))[Pb:])
     del part, back
-    Pm = max(rad.P for rad in radial)
+    # no part reads a row below the first nonzero cutoff row, nor at Pm or above
+    lo, Pm = min(rad.lo for rad in radial), max(rad.P for rad in radial)
     inverse = sht._inverse_real if real else sht.sht_inverse
     Y = None
     if acc is not None:
         # every angular scale accumulates in one buffer, sized for the largest grid
-        ybuf = np.empty(Pm * max(math.prod(ang.scheme.grid_shape) for ang in angular),
+        ybuf = np.empty((Pm - lo) * max(math.prod(ang.scheme.grid_shape) for ang in angular),
                         dtype)
     for ang in angular:
-        G = None if f is None else inverse(ang.scheme, f[:Pm, : ang.L * ang.L] * ang.ka)
+        G = None if f is None else inverse(ang.scheme, f[lo:Pm, : ang.L * ang.L] * ang.ka)
         if acc is not None:
-            Y = ybuf[: Pm * math.prod(ang.scheme.grid_shape)].reshape(
-                (Pm,) + ang.scheme.grid_shape)
+            Y = ybuf[: (Pm - lo) * math.prod(ang.scheme.grid_shape)].reshape(
+                (Pm - lo,) + ang.scheme.grid_shape)
             Y[...] = 0.0
         for rad in radial:
             key = (ang.j, rad.jp)
             shape = (rad.scheme.P,) + ang.scheme.grid_shape
-            part = None if f is None else flag._radial(rad.synthesis, G[rad.lo: rad.P],
-                                                       -3, empty(shape))
+            rows = slice(rad.lo - lo, rad.P - lo)  # rad.lo..rad.P of G and Y
+            part = None if f is None else flag._radial(rad.synthesis, G[rows], -3,
+                                                       empty(shape))
             back = visit(key, part, ang, rad)
             if Y is not None:
                 if back.shape != shape:
                     raise ValueError("part %s of shape %s is not on the grid of its "
                                      "scale, %s" % (key, back.shape, shape))
-                Y[rad.lo: rad.P] += flag._radial(rad.analysis, back, -3)
+                Y[rows] += flag._radial(rad.analysis, back, -3)
             del part, back
         del G
         if Y is not None:
-            acc[:Pm, : ang.L * ang.L] += ang.ka * sht.sht_forward(ang.scheme, Y, ang.L)
+            acc[lo:Pm, : ang.L * ang.L] += ang.ka * sht.sht_forward(ang.scheme, Y, ang.L)
     return acc
 
 

@@ -20,6 +20,7 @@ last axis. The wrapper types that carry band-limits live in flag.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -210,8 +211,8 @@ def tau_for_radius(P, R):
 
 def basis_k(scheme, p, r):
     """Evaluate K_p at radius r (scalar or array of any shape)."""
-    if not 0 <= p < scheme.P:
-        raise ValueError("p out of range for scheme")
+    if not (isinstance(p, numbers.Integral) and 0 <= p < scheme.P):
+        raise ValueError("p must be an integer in 0..%d, got %r" % (scheme.P - 1, p))
     r = np.asarray(r, dtype=float)
     val = synthesis_matrix(scheme, r.ravel())[:, p]
     return val.reshape(r.shape) if r.ndim else float(val[0])

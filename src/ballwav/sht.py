@@ -15,11 +15,13 @@ consecutive blocks of orders [m0, m1), each a dense float64 rectangle over
 the degrees l >= m0 and the L nodes that fits _BLOCK_BYTES. Up to L=64 the
 table is one L x L x L block (2.1 MB at L=64); above, the blocks skip most
 of the zeros l < m: 10.3 MB in 5 blocks at L=128 instead of 16.8 MB, and
-70.0 MB in 36 blocks at L=256 instead of 134 MB. Both directions split the FFT
-bins into an m >= 0 and an m < 0 half and contract each, block by block,
-against the table, taking P_{l,-m} = (-1)^m P_lm; the forward transform
-applies the quadrature weights to its FFT output in place. The layout
-follows the m-blocked, symmetry-halved one of McEwen & Wiaux 2011 and SHTns.
+70.0 MB in 36 blocks at L=256 instead of 134 MB. Each block serves two
+halves of the spectrum, its orders m >= 0 and their twins m < 0, taking
+P_{l,-m} = (-1)^m P_lm; _spectrum_halves maps each half to its table rows,
+its FFT bins and its packed coefficients, and both directions contract the
+halves one at a time. The forward transform applies the quadrature weights
+to its FFT output in place. The layout follows the m-blocked,
+symmetry-halved one of McEwen & Wiaux 2011 and SHTns.
 Splitting the table changes no complex output: each einsum entry sums the
 same products in the same order, less the leading zeros l < m0.
 
@@ -31,7 +33,7 @@ band-limit.
 
 A real signal has conjugate-symmetric coefficients, f_{l,-m} = (-1)^m
 conj(f_lm), so only the m >= 0 half needs computing. sht_forward takes that
-path for any float grid: the bins m = 0..Lc-1, then per table block one
+path for any float grid: the bins m = 0..Lc-1, then per m >= 0 half one
 batched matmul against their (re, im) pairs, laid out (m, theta, batch), so
 the real table is never promoted to complex; the m < 0 half is filled by
 symmetry. A float dtype marks a real grid, but nothing marks real
@@ -51,7 +53,7 @@ cheaper.
 The complex transforms stream: leading axes are flattened into rows (grids
 or coefficient rows), and the work runs over blocks of rows whose
 temporaries fit _BLOCK_BYTES, or one row (_row_scratch counts them: the FFT
-bins, one table block's einsum output, and the cells gathered from or into
+bins, one spectrum half's einsum output, and the cells gathered from or into
 it). A block drops each einsum output and operand once spent, so a
 transform holds its input, its output and about one budget; sht_inverse
 builds a block's bins in its output and transforms them there. No value
@@ -133,9 +135,9 @@ def check_real(coeffs):
 
 
 # Bytes of scratch per block: a complex transform runs over blocks of rows
-# whose temporaries (FFT bins, binned halves, einsum outputs) fit this
-# budget, and the Legendre table is stored as blocks of orders that each fit
-# it. 2 MiB is one core's L2 cache on common x86 hosts, and the smallest
+# whose temporaries (FFT bins, one spectrum half's einsum operand and
+# output) fit this budget, and the Legendre table is stored as blocks of
+# orders that each fit it. 2 MiB is one core's L2 cache on common x86 hosts, and the smallest
 # budget that keeps every table up to L=64 one block (the L=64 table is
 # exactly 2 MiB), so the Legendre steps of those band-limits run as one
 # einsum each.
@@ -214,20 +216,19 @@ def _mirror(L):
 
 
 @lru_cache(maxsize=256)
-def _block_cells(Lc, m0, m1):
-    """The packed indices below Lc*Lc with orders m0 <= |m| < m1, placed in
-    one table block's einsum output, indexed [row, l - m0]: (index, row, l)
-    with row m - m0 for m >= 0, and (index, row, l, (-1)^m) with row
-    |m| - max(m0, 1) for m < 0, as order 0 has no m < 0 twin."""
+def _block_cells(Lc, m0, m1, lo):
+    """The packed indices below Lc*Lc with orders m0 <= |m| < m1, as one
+    table block's two spectrum halves place them in their einsum outputs,
+    indexed [row, l - m0]: (index, row, l, sign), with row m - m0 and sign
+    None for the m >= 0 half, and row |m| - lo and sign (-1)^m for the
+    m < 0 half, whose orders start at lo (_spectrum_halves)."""
     ell, m = _lm_arrays(Lc)
-    lo = max(m0, 1)
     pos = np.flatnonzero((m0 <= m) & (m < m1))
     neg = np.flatnonzero((-m1 < m) & (m <= -lo))
-    parts = ((pos, m[pos] - m0, ell[pos] - m0),
+    parts = ((pos, m[pos] - m0, ell[pos] - m0, None),
              (neg, -m[neg] - lo, ell[neg] - m0, (-1.0) ** m[neg]))
-    for part in parts:
-        for a in part:
-            a.flags.writeable = False  # cached: every caller shares them
+    for a in (*parts[0][:3], *parts[1]):
+        a.flags.writeable = False  # cached: every caller shares them
     return parts
 
 
@@ -281,14 +282,26 @@ def build_angular_scheme(L):
                          _plm=plm, _plm_blocks=blocks)
 
 
-def _table_blocks(scheme, Lc):
-    """(m0, m1, table) for each table block holding orders below Lc: its
-    orders m0 <= m < m1 and degrees m0 <= l < Lc, as table[m - m0, l - m0, t]."""
+def _spectrum_halves(scheme, Lc):
+    """The m >= 0 and then the m < 0 half of each table block holding orders
+    below Lc, as (table, bins, cells): the table rows of the half's orders
+    |m|, indexed [row, l - m0, t] over the degrees m0 <= l < Lc; the slice
+    of FFT bins whose entry r holds the order of row r; and the packed
+    indices the half places in its einsum output (_block_cells). The m >= 0
+    half of orders [m0, m1) takes bins m0..m1-1, and so does a real path's
+    spectrum of bins 0..Lc-1; the m < 0 half takes bins n_phi-lo down to
+    n_phi-m1+1."""
+    n = scheme.n_phi
     for m0, blk in scheme._plm_blocks:
         if m0 >= Lc:
             break
         m1 = min(m0 + len(blk), Lc)
-        yield m0, m1, blk[:m1 - m0, :Lc - m0]
+        lo = max(m0, 1)  # order 0 has no m < 0 twin
+        plm = blk[:m1 - m0, :Lc - m0]
+        pos, neg = _block_cells(Lc, m0, m1, lo)
+        yield plm, slice(m0, m1), pos
+        # bin n - k holds order -k
+        yield plm[lo - m0:], slice(n - lo, n - m1, -1), neg
 
 
 # Largest band-limit whose real longitude step is a direct DFT of its bins
@@ -322,14 +335,13 @@ def _dft_tables(F, Lc):
 def _row_scratch(scheme, Lc, forward):
     """Bytes of temporaries per row that _forward_rows (forward) or
     _inverse_rows holds at most at band-limit Lc: all n_phi FFT bins, one
-    table block's einsum output and the cells gathered from it; or one
-    block's zero-filled [row, l] operand and then its einsum output, which
+    spectrum half's einsum output and the cells gathered from it; or one
+    half's zero-filled [row, l] operand and then its einsum output, which
     outweighs the cells gathered into the operand."""
+    shapes = [plm.shape[:2] for plm, _, _ in _spectrum_halves(scheme, Lc)]
     if forward:
-        return 16 * (scheme.n_theta * scheme.n_phi + 2 * max(
-            (m1 - m0) * (Lc - m0) for m0, m1, _ in _table_blocks(scheme, Lc)))
-    return 16 * max((m1 - m0) * (Lc - m0 + scheme.n_theta)
-                    for m0, m1, _ in _table_blocks(scheme, Lc))
+        return 16 * (scheme.n_theta * scheme.n_phi + 2 * max(m * l for m, l in shapes))
+    return 16 * max(m * (l + scheme.n_theta) for m, l in shapes)
 
 
 def sht_forward(scheme, samples, Lc=None):
@@ -364,14 +376,11 @@ def _forward_rows(scheme, vals, out, Lc):
     G[..., :Lc] *= w
     G[..., n - Lc + 1:] *= w
     # one einsum output at a time, dropped once its cells are out
-    for m0, m1, plm in _table_blocks(scheme, Lc):
-        (i_p, r_p, l_p), (i_n, r_n, l_n, sign) = _block_cells(Lc, m0, m1)
-        out[..., i_p] = np.einsum("mlt,...tm->...ml", plm, G[..., m0:m1])[..., r_p, l_p]
-        lo = max(m0, 1)  # order 0 has no m < 0 twin
-        neg = np.einsum("mlt,...tm->...ml", plm[lo - m0:],
-                        G[..., n - lo:n - m1:-1])[..., r_n, l_n]
-        neg *= sign
-        out[..., i_n] = neg
+    for plm, bins, (i, r, l, sign) in _spectrum_halves(scheme, Lc):
+        y = np.einsum("mlt,...tm->...ml", plm, G[..., bins])[..., r, l]
+        if sign is not None:
+            y *= sign
+        out[..., i] = y
 
 
 def _forward_real(scheme, vals, Lc):
@@ -392,14 +401,13 @@ def _forward_real(scheme, vals, Lc):
     X *= (scheme.theta_weights * (2.0 * np.pi / F))[:, None]
     # every block's product first, so that the bins are dropped before out is
     # made; the products skip the zeros l < m0, so they outweigh neither
-    Y = [(m0, m1, np.matmul(plm, X[m0:m1].view(float)).view(complex))
-         for m0, m1, plm in _table_blocks(scheme, Lc)]
+    Y = [((i, r, l), np.matmul(plm, X[bins].view(float)).view(complex))
+         for plm, bins, (i, r, l, sign) in _spectrum_halves(scheme, Lc) if sign is None]
     n = X.shape[-1]
     del X
     out = np.empty((n, Lc * Lc), dtype=complex)
-    for m0, m1, y in Y:
-        (i_p, r_p, l_p), _ = _block_cells(Lc, m0, m1)
-        out[:, i_p] = y[r_p, l_p].T
+    for (i, r, l), y in Y:
+        out[:, i] = y[r, l].T
     del Y, y
     _conj_fill(out)
     return out.reshape(batch + (Lc * Lc,))
@@ -432,22 +440,15 @@ def _inverse_rows(scheme, vals, H, Lc):
     """sht_inverse of coefficients vals (..., Lc*Lc) into complex grids H,
     which hold the FFT bins until the inverse FFT runs in place."""
     F, batch = scheme.n_phi, vals.shape[:-1]
-    for m0, m1, plm in _table_blocks(scheme, Lc):
-        (i_p, r_p, l_p), (i_n, r_n, l_n, sign) = _block_cells(Lc, m0, m1)
-        half = np.zeros(batch + (m1 - m0, Lc - m0), dtype=complex)
-        half[..., r_p, l_p] = vals[..., i_p]
-        H[..., m0:m1] = np.einsum("mlt,...ml->...tm", plm, half)
-        del half  # dropped before the m < 0 half is formed
-        lo = max(m0, 1)  # order 0 has no m < 0 twin
-        # formed first, so that its gathered operand is freed before the half is made
-        neg = sign * vals[..., i_n]
-        half = np.zeros(batch + (m1 - lo, Lc - m0), dtype=complex)
-        half[..., r_n, l_n] = neg
-        del neg
-        # bins F-m1+1..F-lo hold m = -(m1-1)..-lo, the half's rows in reverse
-        H[..., F - m1 + 1:F - lo + 1] = np.einsum("mlt,...ml->...tm", plm[lo - m0:],
-                                                  half)[..., ::-1]
-        del half
+    for plm, bins, (i, r, l, sign) in _spectrum_halves(scheme, Lc):
+        # gathered first, so that a signed copy frees its operand before the
+        # half is made
+        cells = vals[..., i] if sign is None else sign * vals[..., i]
+        half = np.zeros(batch + plm.shape[:2], dtype=complex)
+        half[..., r, l] = cells
+        del cells
+        H[..., bins] = np.einsum("mlt,...ml->...tm", plm, half)
+        del half  # dropped before the next half is formed
     if Lc < scheme.L:
         H[..., Lc:F - Lc + 1] = 0.0
     np.fft.ifft(H, axis=-1, out=H)
@@ -463,16 +464,16 @@ def _inverse_real(scheme, vals):
     flat = vals.reshape(-1, Lc * Lc)
     # m-major (m, l, batch) halves and (m, t, batch) bins, as in _forward_real
     H = []
-    for m0, m1, plm in _table_blocks(scheme, Lc):
-        (i_p, r_p, l_p), _ = _block_cells(Lc, m0, m1)
-        half = np.zeros((m1 - m0, Lc - m0, flat.shape[0]), dtype=complex)
-        half[r_p, l_p] = flat[:, i_p].T
-        H.append((m0, m1, np.matmul(plm.transpose(0, 2, 1), half.view(float)).view(complex)))
-        del half
+    for plm, bins, (i, r, l, sign) in _spectrum_halves(scheme, Lc):
+        if sign is None:
+            half = np.zeros(plm.shape[:2] + flat.shape[:1], dtype=complex)
+            half[r, l] = flat[:, i].T
+            H.append((bins, np.matmul(plm.transpose(0, 2, 1), half.view(float)).view(complex)))
+            del half
     # (batch, t, m) bins, in place of the rfft spectrum's first Lc bins
     spec = np.empty((flat.shape[0], scheme.n_theta, Lc), dtype=complex)
-    for m0, m1, h in H:
-        spec[..., m0:m1] = h.transpose(2, 1, 0)
+    for bins, h in H:
+        spec[..., bins] = h.transpose(2, 1, 0)
     del H, h
     F = scheme.n_phi
     if Lc <= _DFT_MAX_BINS:

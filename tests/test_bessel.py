@@ -99,6 +99,24 @@ def test_jlp_argument_errors():
         flag.build_bessel_bridge(0, 5)
 
 
+@pytest.mark.parametrize("call", [
+    lambda b: flag.jlp(b, 1.5, 1, 0.5),
+    lambda b: flag.jlp(b, 1, 1.5, 0.5),
+    lambda b: flag.jlp(b, 2.0, 1, 0.5),
+    lambda b: flag.build_bessel_bridge(2.5, 3),
+    lambda b: flag.build_bessel_bridge(3, 3.0),
+    lambda b: flag.fourier_bessel(b, np.zeros((3, 9)), [[0.5, 1.0]]),
+], ids=["jlp-ell", "jlp-p", "jlp-float-ell", "bridge-L", "bridge-P", "fourier_bessel-2d-ks"])
+def test_bridge_rejects_non_integer_indices_and_a_ks_grid(call):
+    with pytest.raises(ValueError):
+        call(flag.build_bessel_bridge(3, 3))
+
+
+def test_bridge_takes_numpy_integers():
+    bridge = flag.build_bessel_bridge(np.int64(3), np.int32(3))
+    assert flag.jlp(bridge, np.int64(2), np.int16(1), 0.5) == flag.jlp(bridge, 2, 1, 0.5)
+
+
 def test_fourier_bessel_zero_input():
     bridge = flag.build_bessel_bridge(3, 3)
     out = flag.fourier_bessel(bridge, np.zeros((3, 9), dtype=complex), [0.5, 1.0])

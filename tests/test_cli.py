@@ -5,6 +5,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ballwav import ballfile, cli, flag, flaglet, tiling
+from ballwav import ballfile, cli, denoise, flag, flaglet, tiling
 
 
 def run(capsys, *argv):
@@ -328,6 +329,31 @@ def test_denoise_names_a_non_finite_payload(tmp_path, capsys, kind, sigma):
                         "--sigma", sigma)
     assert rc == 2 and text == "" and not out.exists()
     assert err == "error: the input payload holds a NaN or an infinity\n"
+
+
+def test_denoise_names_samples_that_leave_double_range(tmp_path, capsys, monkeypatch):
+    # denoised coefficients can be finite while their grid is not: here a
+    # monopole of 1e308 at tau = 1e-3, where the radial basis reaches 2e4
+    L = P = 4
+    scheme = flag.build_ball_scheme(L, P, 1e-3)
+    vals = np.zeros((P, L * L))
+    vals[0, 0] = 1e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.all(np.isfinite(flag.flag_synthesis(scheme, vals, real=True)))
+    den = flag.FlagCoeffs(L, P, vals.astype(complex), real=True)
+    monkeypatch.setattr(denoise, "denoise_pipeline", lambda *args, **kwargs: (den, 1.0, 2.0))
+    src = tmp_path / "in.flb"
+    ballfile.write_ballfile(src, ballfile.BallFile(
+        kind=ballfile.KIND_SAMPLES, L=L, P=P, tau=1e-3, complex_payload=False,
+        samples=np.ones(scheme.grid_shape)))
+    out = tmp_path / "o.flb"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, text, err = run(capsys, "denoise", "--input", str(src), "--output", str(out),
+                            "--sigma", "1")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert rc == 2 and text == "" and not out.exists()
+    assert err == "error: denoised samples leave double range (sigma 1.0)\n"
 
 
 def test_denoise_samples_input_round_trips_kind(tmp_path, capsys):

@@ -134,6 +134,19 @@ def test_band_limit_errors():
             flag.flag_analysis(sch, np.zeros(sch.grid_shape), bandlimits)
 
 
+# no band-limit below 1 or above the scheme's reaches a transform, on either
+# path: a zero radial band-limit gave a zero grid on the real path and a numpy
+# error on the complex one, and a zero angular one a reshape error in
+# sht.check_real
+@pytest.mark.parametrize("real", [False, True])
+@pytest.mark.parametrize("batch", [(), (2,)])
+@pytest.mark.parametrize("shape", [(0, 16), (4, 0), (5, 16), (4, 25), (0, 0)])
+def test_synthesis_rejects_band_limits_outside_the_scheme(shape, batch, real):
+    sch = flag.build_ball_scheme(4, 4)
+    with pytest.raises(ValueError, match=r"coefficient band-limit \d+ not in 1\.\.4"):
+        flag.flag_synthesis(sch, np.zeros(batch + shape, dtype=complex), real=real)
+
+
 def test_wrappers_are_not_transform_input():
     # the transforms take arrays; a wrapper fails their shape check
     sch = flag.build_ball_scheme(4, 3)

@@ -283,6 +283,37 @@ def test_radial_products_run_over_the_kernel_support(L, P, lam, nu, J0p, multire
     assert _close(flaglet.synthesis_to_coeffs(w, kernels, scheme), want)
 
 
+@pytest.mark.parametrize("real", [False, True])
+@pytest.mark.parametrize("multires", [False, True])
+@pytest.mark.parametrize("L,P,J0p", [(32, 32, 0), (16, 16, 2)])
+def test_walk_transforms_only_the_rows_a_part_reads(monkeypatch, L, P, J0p, multires, real):
+    # kb_jp(0) = 0 at every dilation, so no part reads row 0, and at J0p = 2
+    # none reads rows 0..2: each angular scale's transforms skip those rows
+    scheme, kernels = _setup(L=L, P=P, J0p=J0p)
+    angular, radial = flaglet._axes(scheme, kernels, multires)
+    lo, Pm = min(rad.lo for rad in radial), max(rad.P for rad in radial)
+    assert lo == {0: 1, 2: 3}[J0p]
+    calls = []
+    for name in ("sht_inverse", "_inverse_real", "sht_forward"):
+        def spy(ang, vals, *args, _name=name, _call=getattr(sht, name)):
+            calls.append((_name, ang, np.shape(vals)))
+            return _call(ang, vals, *args)
+
+        monkeypatch.setattr(sht, name, spy)
+    f = flag.random_coeffs(L, P, seed=2, real=real).values
+    w = flaglet.analysis_from_coeffs(scheme, f, kernels, multires, real)
+    flaglet.synthesis_to_coeffs(w, kernels, scheme)
+    # the walk's own transforms come last in each direction, one per j,
+    # after those of the scaling part
+    analysis = [c for c in calls if c[0] == ("_inverse_real" if real else "sht_inverse")]
+    synthesis = [c for c in calls if c[0] == "sht_forward"]
+    for ang, (_, a_ang, a_shape), (_, s_ang, s_shape) in zip(
+            angular, analysis[-len(angular):], synthesis[-len(angular):]):
+        assert a_ang is ang.scheme and s_ang is ang.scheme
+        assert a_shape == (Pm - lo, ang.L * ang.L)
+        assert s_shape == (Pm - lo,) + ang.scheme.grid_shape
+
+
 def test_part_on_wrong_grid_raises():
     # a multires set whose part sits on the full grid, not its scale's grid
     scheme, kernels = _setup(L=8, P=8)

@@ -127,6 +127,11 @@ def test_basis_k_values_and_shapes():
         laguerre.basis_k(sch, 4, 1.0)
     with pytest.raises(ValueError):
         laguerre.basis_k(sch, 0, -0.5)
+    # an order must be an integer: 1.5 gave an IndexError
+    for p in (1.5, 2.0, np.nan):
+        with pytest.raises(ValueError, match="must be an integer"):
+            laguerre.basis_k(sch, p, 1.0)
+    assert laguerre.basis_k(sch, np.int64(2), 1.0) == laguerre.basis_k(sch, 2, 1.0)
 
 
 def test_node_synthesis_matches_generic_matrix():

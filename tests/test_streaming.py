@@ -122,24 +122,43 @@ def test_table_blocks_match_one_table(monkeypatch, fresh_schemes, L):
             assert _same_bytes(got, want), name
 
 
+def _one_table(L):
+    """The band-limit-L table as one block, from the nodes a scheme takes."""
+    ct = -np.sort(-np.polynomial.legendre.leggauss(L)[0])
+    (_, one), = sht._legendre_blocks(L, ct, np.sqrt(1.0 - ct * ct), [(0, L)])[1]
+    return one
+
+
 def _check_cells(ang):
-    """Every band-limit Lc <= ang.L: the cells of the table blocks cover each
-    packed index below Lc*Lc once, inside their block's einsum output, at
-    the row and degree of its (l, m), with sign (-1)^m where m < 0."""
+    """Every band-limit Lc <= ang.L: the spectrum halves of the table blocks
+    cover each packed index below Lc*Lc once, inside their half's einsum
+    output, at the row and degree of its (l, m), with sign (-1)^m where
+    m < 0 and none where m >= 0. Each row of a half holds one order: its
+    table row is P_l|m| and its bin slice maps it to bin m mod n_phi, as in
+    a real path's spectrum of bins 0..Lc-1 for m >= 0."""
+    one = _one_table(ang.L)
     for Lc in range(1, ang.L + 1):
         ell, m = sht._lm_arrays(Lc)
         seen = np.zeros(Lc * Lc, dtype=int)
-        for m0, m1, plm in sht._table_blocks(ang, Lc):
-            lo = max(m0, 1)  # order 0 has no m < 0 twin
-            (i_p, r_p, l_p), (i_n, r_n, l_n, sign) = sht._block_cells(Lc, m0, m1)
-            for i, r, l, rows in ((i_p, r_p, l_p, m1 - m0), (i_n, r_n, l_n, m1 - lo)):
-                assert np.all((0 <= r) & (r < rows)), (Lc, m0, m1)
-                assert np.all((0 <= l) & (l < plm.shape[1])), (Lc, m0, m1)
-                np.testing.assert_array_equal(ell[i], l + m0)
-                np.add.at(seen, i, 1)
-            np.testing.assert_array_equal(m[i_p], r_p + m0)
-            np.testing.assert_array_equal(m[i_n], -(r_n + lo))
-            assert _same_bytes(sign, (-1.0) ** m[i_n])
+        for plm, bins, (i, r, l, sign) in sht._spectrum_halves(ang, Lc):
+            m0 = Lc - plm.shape[1]  # the table rows run over degrees m0..Lc-1
+            assert np.all((0 <= r) & (r < len(plm))), (Lc, m0)
+            assert np.all((0 <= l) & (l < plm.shape[1])), (Lc, m0)
+            np.testing.assert_array_equal(ell[i], l + m0)
+            np.add.at(seen, i, 1)
+            # every row holds cells, all of one order
+            order = np.zeros(len(plm), dtype=int)
+            order[r] = m[i]
+            np.testing.assert_array_equal(np.unique(r), np.arange(len(plm)))
+            np.testing.assert_array_equal(order[r], m[i])
+            np.testing.assert_array_equal(plm, one[np.abs(order), m0:Lc])
+            np.testing.assert_array_equal(np.arange(ang.n_phi)[bins], order % ang.n_phi)
+            if sign is None:
+                assert np.all(order >= 0), (Lc, m0)
+                np.testing.assert_array_equal(np.arange(Lc)[bins], order)
+            else:
+                assert np.all(order < 0), (Lc, m0)
+                assert _same_bytes(sign, (-1.0) ** m[i])
         assert np.all(seen == 1), Lc
 
 
@@ -155,6 +174,21 @@ def test_cells_cover_each_packed_index_once(monkeypatch, fresh_schemes, orders):
         if orders is not None and L > orders:
             assert len(ang._plm_blocks) > 1
         _check_cells(ang)
+
+
+def test_cells_check_fails_on_an_off_by_one_bin(monkeypatch):
+    halves = sht._spectrum_halves
+
+    def shifted(scheme, Lc):
+        # each m < 0 half one bin lower: order -k read from bin n - k - 1
+        for plm, bins, cells in halves(scheme, Lc):
+            if cells[3] is not None:
+                bins = slice(bins.start - 1, bins.stop - 1, -1)
+            yield plm, bins, cells
+
+    monkeypatch.setattr(sht, "_spectrum_halves", shifted)
+    with pytest.raises(AssertionError):
+        _check_cells(sht.build_angular_scheme(5))
 
 
 @pytest.mark.parametrize("L", range(1, 34))
