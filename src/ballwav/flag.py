@@ -115,7 +115,7 @@ def flag_analysis(scheme, signal, bandlimits=None):
     if vals.shape[-3:] != scheme.grid_shape:
         raise ValueError("signal grid does not match scheme")
     Lc, Pc = (scheme.L, scheme.P) if bandlimits is None else bandlimits
-    if not 1 <= Pc <= scheme.P:
+    if not (isinstance(Pc, numbers.Integral) and 1 <= Pc <= scheme.P):
         raise ValueError("output band-limit %r not in 1..%d" % (Pc, scheme.P))
     B = scheme.radial.weighted_basis
     if not np.iscomplexobj(vals):

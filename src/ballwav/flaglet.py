@@ -62,8 +62,10 @@ from . import flag, laguerre, sht, tiling
 
 def scale_bandlimits(params, j, jp, multires):
     """Band-limits (L, P) of the grid scale (j, jp) is sampled on: the
-    kernel's own when multires is set, the full ones otherwise."""
-    return tiling.kernel_bandlimits(params, j, jp) if multires else (params.L, params.P)
+    kernel's own when multires is set, the full ones otherwise; ValueError
+    either way unless (j, jp) is a scale of the tiling."""
+    reduced = tiling.kernel_bandlimits(params, j, jp)
+    return reduced if multires else (params.L, params.P)
 
 
 def scale_scheme(scheme, params, j, jp, multires):

@@ -70,6 +70,7 @@ same bytes in every test.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -356,7 +357,7 @@ def sht_forward(scheme, samples, Lc=None):
         raise ValueError("grid shape does not match scheme")
     L = scheme.L
     Lc = L if Lc is None else Lc
-    if not 1 <= Lc <= L:
+    if not (isinstance(Lc, numbers.Integral) and 1 <= Lc <= L):
         raise ValueError("output band-limit %r not in 1..%d" % (Lc, L))
     if not np.iscomplexobj(vals):
         return _forward_real(scheme, vals, Lc)

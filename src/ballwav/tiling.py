@@ -15,6 +15,7 @@ points. They are within 1e-14 of the adaptive reference k_lambda at lambda in
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -235,7 +236,9 @@ class TilingKernels:
     Scale axes (of psi, ka and kb) are offset by (J0, J0p); use psi_scale for
     absolute indices. Admissibility is checked at construction, so holding a
     TilingKernels is proof of a tight frame; residual is the largest
-    deviation of 4 pi/(2l+1) (phi^2 + sum psi^2) from one over all (l, p).
+    deviation of 4 pi/(2l+1) (phi^2 + sum psi^2) from one over all (l, p),
+    with psi^2 summed one scale at a time in the order of psi's axes, so that
+    np.sum(psi**2, axis=(0, 1)) gives a caller the same bytes.
     """
 
     params: TilingParams
@@ -252,8 +255,7 @@ class TilingKernels:
 
     def psi_scale(self, j, jp):
         p = self.params
-        if not (p.J0 <= j <= p.J and p.J0p <= jp <= p.Jp):
-            raise ValueError("scale out of range")
+        kernel_bandlimits(p, j, jp)  # its ValueError for a scale the tiling lacks
         return _wavelet(self.ka[j - p.J0], self.kb[jp - p.J0p])
 
 
@@ -262,7 +264,10 @@ def build_tiling(params):
     identity pointwise.
 
     The cutoff values k(l / lam^j) are shared between the wavelet and
-    scaling kernels, so the identity telescopes exactly up to rounding.
+    scaling kernels, so the identity telescopes exactly up to rounding. The
+    squared wavelet kernels are summed one scale at a time, in the order of
+    psi's axes, so a build holds a few L x P arrays whatever the number of
+    scales, and its residual has the bytes of a sum over psi.
     """
     lam, nu, L, P = params.lam, params.nu, params.L, params.P
     ells = np.arange(L, dtype=float)
@@ -277,9 +282,9 @@ def build_tiling(params):
     a = A[0][:, None]
     b = B[0][None, :]
     phi = fac[:, None] * np.sqrt(np.clip(a + b - a * b, 0.0, None))
-    # from the kernels' own psi, so that a caller summing it sees these bytes
-    psi = _wavelet(ka[:, None], kb[None])
-    total = phi * phi + np.sum(psi * psi, axis=(0, 1))
+    # psi^2 summed one scale at a time, jp fastest as on psi's axes: the bytes
+    # of a caller's np.sum(psi**2, axis=(0, 1)), in O(L P) memory
+    total = phi * phi + sum(_wavelet(ka_j, kb_jp) ** 2 for ka_j in ka for kb_jp in kb)
     residual = np.abs(4.0 * np.pi / (2.0 * ells[:, None] + 1.0) * total - 1.0)
     worst = float(residual.max())
     if worst > 1e-10:
@@ -295,8 +300,10 @@ def scaling_bandlimits(params):
 
 
 def kernel_bandlimits(params, j, jp):
-    """Effective band-limits (Lj, Pjp) of the wavelet kernel at scale (j, jp)."""
-    if not (params.J0 <= j <= params.J and params.J0p <= jp <= params.Jp):
+    """Effective band-limits (Lj, Pjp) of the wavelet kernel at scale (j, jp):
+    ValueError unless j and jp are integers naming a scale of the tiling."""
+    if not (isinstance(j, numbers.Integral) and isinstance(jp, numbers.Integral)
+            and params.J0 <= j <= params.J and params.J0p <= jp <= params.Jp):
         raise ValueError("scale out of range")
     Lj = min(_iceil(_pow(params.lam, j + 1)), params.L)
     Pjp = min(_iceil(_pow(params.nu, jp + 1)), params.P)

@@ -147,6 +147,23 @@ def test_synthesis_rejects_band_limits_outside_the_scheme(shape, batch, real):
         flag.flag_synthesis(sch, np.zeros(batch + shape, dtype=complex), real=real)
 
 
+# an output band-limit that is not an integer meets the range check's
+# ValueError on either path: a float one failed inside numpy with a TypeError,
+# or, equal to the scheme's own, passed silently; numpy integers pass
+@pytest.mark.parametrize("real", [False, True])
+@pytest.mark.parametrize("batch", [(), (2,)])
+@pytest.mark.parametrize("bandlimits", [(2.5, 3), (3, 2.5), (np.float64(3.0), 3),
+                                        (3, np.float64(3.0)), (4.0, 4), (4, 4.0)])
+def test_analysis_rejects_band_limits_that_are_not_integers(bandlimits, batch, real):
+    sch = flag.build_ball_scheme(4, 4)
+    grid = np.ones(batch + sch.grid_shape, dtype=float if real else complex)
+    with pytest.raises(ValueError, match=r"output band-limit .+ not in 1\.\.4"):
+        flag.flag_analysis(sch, grid, bandlimits)
+    want = flag.flag_analysis(sch, grid, (3, 2))
+    got = flag.flag_analysis(sch, grid, (np.int64(3), np.int32(2)))
+    assert got.tobytes() == want.tobytes()
+
+
 def test_wrappers_are_not_transform_input():
     # the transforms take arrays; a wrapper fails their shape check
     sch = flag.build_ball_scheme(4, 3)

@@ -89,6 +89,18 @@ def test_reduced_grids_are_smaller():
                for s in full.scales)
 
 
+@pytest.mark.parametrize("multires", [False, True])
+@pytest.mark.parametrize("j, jp", [(1.5, 1), (1, 1.5), (2.0, 1), (4, 0), (0, -1)])
+def test_scale_bandlimits_rejects_a_scale_the_tiling_lacks(j, jp, multires):
+    # in either mode: (1.5, 1) gave the band-limits (6, 4) of no scale, and at
+    # full resolution any key gave (L, P); numpy integers pass
+    params = tiling.make_tiling_params(2.0, 2.0, 8, 8)
+    with pytest.raises(ValueError, match="scale out of range"):
+        flaglet.scale_bandlimits(params, j, jp, multires)
+    want = (4, 4) if multires else (8, 8)
+    assert flaglet.scale_bandlimits(params, np.int64(1), np.int32(1), multires) == want
+
+
 def test_tight_frame_energy():
     # coefficient energy, summed over all scales plus the scaling part,
     # equals the input energy with no per-degree reweighting: the kernel

@@ -212,6 +212,20 @@ def test_shape_and_band_limit_errors():
             sht.sht_forward(sch, np.zeros((4, 7)), Lc)
 
 
+# a float band-limit failed inside numpy with a TypeError, or, equal to L,
+# passed silently; numpy integers pass
+@pytest.mark.parametrize("real", [False, True])
+@pytest.mark.parametrize("batch", [(), (2,)])
+@pytest.mark.parametrize("Lc", [2.5, 3.0, np.float64(3.0), 4.0])
+def test_forward_rejects_a_band_limit_that_is_not_an_integer(Lc, batch, real):
+    sch = sht.build_angular_scheme(4)
+    grid = np.ones(batch + sch.grid_shape, dtype=float if real else complex)
+    with pytest.raises(ValueError, match=r"output band-limit .+ not in 1\.\.4"):
+        sht.sht_forward(sch, grid, Lc)
+    want = sht.sht_forward(sch, grid, 3)
+    assert sht.sht_forward(sch, grid, np.int64(3)).tobytes() == want.tobytes()
+
+
 # band-limits on either side of the real path's direct-DFT crossover, and
 # low and full band-limits at L = 64 (n_phi = 127) and L = 128 (n_phi = 255)
 _CROSSOVER = [(128, sht._DFT_MAX_BINS), (128, sht._DFT_MAX_BINS + 1),

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from ballwav import tiling
 
+from _memory import peak_above_inputs
+
 
 def test_schwartz_bump_values():
     assert tiling.schwartz_s(0.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
@@ -186,6 +188,20 @@ def test_kernel_bandlimits():
         tiling.kernel_bandlimits(p, 0, 6)
 
 
+@pytest.mark.parametrize("j, jp", [(1.5, 1), (1, 1.5), (2.0, 1), (1, np.float64(1.0))])
+def test_scales_that_are_not_integers_raise(j, jp):
+    # (1.5, 1) gave the band-limits (6, 4) of a scale the tiling lacks, and
+    # psi_scale an IndexError; numpy integers pass
+    params = tiling.make_tiling_params(2.0, 2.0, 8, 8)
+    kern = tiling.build_tiling(params)
+    for call in (lambda: tiling.kernel_bandlimits(params, j, jp),
+                 lambda: kern.psi_scale(j, jp)):
+        with pytest.raises(ValueError, match="scale out of range"):
+            call()
+    assert tiling.kernel_bandlimits(params, np.int64(1), np.int32(1)) == (4, 4)
+    assert kern.psi_scale(np.int64(2), 1).tobytes() == kern.psi[2, 1].tobytes()
+
+
 def test_wavelet_kernel_compact_support():
     # scale j covers only degrees strictly between lam^(j-1) and lam^(j+1)
     kern = tiling.build_tiling(tiling.make_tiling_params(2.0, 2.0, 16, 16))
@@ -208,6 +224,30 @@ def test_admissibility_identity(lam, nu):
     residual = 4.0 * np.pi / (2.0 * ells[:, None] + 1.0) * total - 1.0
     assert np.max(np.abs(residual)) < 1e-10
     assert kern.residual == np.max(np.abs(residual))
+
+
+# two tilings with J0/J0p offsets (18 and 6 scales) and one with 576 scales
+@pytest.mark.parametrize("lam, nu, L, P, J0, J0p", [
+    (1.7, 2.5, 24, 13, 1, 1), (2.0, 3.0, 16, 16, 2, 2), (1.2, 1.2, 64, 64, 0, 0)])
+def test_residual_has_the_bytes_of_a_sum_over_psi(lam, nu, L, P, J0, J0p):
+    # build_tiling sums psi^2 one scale at a time without forming psi; a
+    # caller who sums psi gets the same residual, bit for bit
+    kern = tiling.build_tiling(tiling.make_tiling_params(lam, nu, L, P, J0=J0, J0p=J0p))
+    ells = np.arange(float(L))
+    total = kern.phi**2 + np.sum(kern.psi**2, axis=(0, 1))
+    residual = 4.0 * np.pi / (2.0 * ells[:, None] + 1.0) * total - 1.0
+    assert kern.residual == np.max(np.abs(residual))
+
+
+def test_build_holds_no_table_of_every_kernel():
+    # 784 scales at L=P=128: psi and its square took 206 MB traced, where a
+    # build that sums one scale at a time holds a few L x P arrays (0.13 MB
+    # each)
+    params = tiling.make_tiling_params(1.2, 1.2, 128, 128)
+    assert len(params.scales) == 784
+    tiling.build_tiling(params)  # warm-up: fills the cutoff tables
+    peak, _ = peak_above_inputs(lambda: tiling.build_tiling(params))
+    assert peak <= 4e6
 
 
 def test_kernels_hold_the_cutoffs_not_psi():
